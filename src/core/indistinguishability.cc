@@ -13,26 +13,6 @@ std::string IndistReport::summary() const {
          std::to_string(violations.size()) + " violations)";
 }
 
-namespace {
-
-const RegSnapshot* find_reg(const RoundSnapshot& snap, RegId r) {
-  const auto it = snap.regs.find(r);
-  return it == snap.regs.end() ? nullptr : &it->second;
-}
-
-// A register absent from a snapshot is untouched: nil value, empty Pset.
-const RegSnapshot& reg_or_default(const RoundSnapshot& snap, RegId r) {
-  static const RegSnapshot kDefault;
-  const RegSnapshot* found = find_reg(snap, r);
-  return found == nullptr ? kDefault : *found;
-}
-
-bool pset_contains(const RegSnapshot& reg, ProcId p) {
-  return std::binary_search(reg.pset.begin(), reg.pset.end(), p);
-}
-
-}  // namespace
-
 IndistReport check_indistinguishability(const RunLog& all_log,
                                         const RunLog& s_log,
                                         const UpTracker& up,
@@ -42,63 +22,100 @@ IndistReport check_indistinguishability(const RunLog& all_log,
                "the (All,A)-run log has no snapshots");
   const int n = all_log.n;
   const int rounds = std::min(all_log.num_rounds(), s_log.num_rounds());
+  // A register absent from a snapshot is untouched: nil value, empty Pset.
+  static const RegSnapshot kUntouched;
 
   IndistReport report;
-  const auto violation = [&](std::string msg) {
-    report.ok = false;
-    report.violations.push_back(std::move(msg));
-  };
+  // covered[p] holds iff UP(p, r) ⊆ S for the round being checked.
+  std::vector<char> covered(static_cast<std::size_t>(n));
+  // Violations of registers only the (S,A)-run touched are reported after
+  // those of registers the (All,A)-run touched, round by round.
+  std::vector<std::string> s_only_violations;
 
   for (int r = 0; r <= rounds; ++r) {
     const RoundSnapshot& all_snap = all_log.at(r);
     const RoundSnapshot& s_snap = s_log.at(r);
+    const std::string round_tag = "round " + std::to_string(r) + ": ";
 
     // --- processes: (All,A)-run ≈_p^r (S,A)-run when UP(p, r) ⊆ S ---
     for (ProcId p = 0; p < n; ++p) {
-      if (!up.up_process(p, r).subset_of(s)) continue;
+      const bool in_s = up.up_process(p, r).subset_of(s);
+      covered[static_cast<std::size_t>(p)] = in_s ? 1 : 0;
+      if (!in_s) continue;
       ++report.process_checks;
       const ProcSnapshot& a = all_snap.procs[static_cast<std::size_t>(p)];
       const ProcSnapshot& b = s_snap.procs[static_cast<std::size_t>(p)];
       if (a.num_tosses != b.num_tosses) {
-        violation("round " + std::to_string(r) + ": numtosses(p" +
-                  std::to_string(p) + ") differ: " +
-                  std::to_string(a.num_tosses) + " vs " +
-                  std::to_string(b.num_tosses));
+        report.violations.push_back(
+            round_tag + "numtosses(p" + std::to_string(p) + ") differ: " +
+            std::to_string(a.num_tosses) + " vs " +
+            std::to_string(b.num_tosses));
       }
       if (a.history_hash != b.history_hash ||
           a.shared_ops != b.shared_ops || a.done != b.done ||
           (a.done && !(a.result == b.result))) {
-        violation("round " + std::to_string(r) + ": state(p" +
-                  std::to_string(p) + ") differs between runs");
+        report.violations.push_back(round_tag + "state(p" +
+                                    std::to_string(p) +
+                                    ") differs between runs");
       }
     }
 
-    // --- registers: every register either run touched ---
-    std::vector<RegId> regs;
-    for (const auto& [id, _] : all_snap.regs) regs.push_back(id);
-    for (const auto& [id, _] : s_snap.regs) {
-      if (find_reg(all_snap, id) == nullptr) regs.push_back(id);
-    }
-    for (const RegId reg : regs) {
-      if (!up.up_register(reg, r).subset_of(s)) continue;
+    // --- registers: a merge-join of the two snapshots' (sorted) maps ---
+    const auto check_register = [&](RegId reg, const RegSnapshot& a,
+                                     const RegSnapshot& b,
+                                     std::vector<std::string>& out) {
+      if (!up.up_register(reg, r).subset_of(s)) return;
       ++report.register_checks;
-      const RegSnapshot& a = reg_or_default(all_snap, reg);
-      const RegSnapshot& b = reg_or_default(s_snap, reg);
       if (!(a.value == b.value)) {
-        violation("round " + std::to_string(r) + ": val(R" +
-                  std::to_string(reg) + ") differs: " + a.value.to_string() +
-                  " vs " + b.value.to_string());
+        out.push_back(round_tag + "val(R" + std::to_string(reg) +
+                      ") differs: " + a.value.to_string() + " vs " +
+                      b.value.to_string());
       }
-      for (ProcId p = 0; p < n; ++p) {
-        if (!up.up_process(p, r).subset_of(s)) continue;
-        if (pset_contains(a, p) != pset_contains(b, p)) {
-          violation("round " + std::to_string(r) + ": Pset(R" +
-                    std::to_string(reg) + ") membership of p" +
-                    std::to_string(p) + " differs");
+      if (a.pset == b.pset) return;
+      // Psets hold distinct process ids in ascending order: walk their
+      // symmetric difference in that order, reporting covered processes.
+      auto ia = a.pset.begin();
+      auto ib = b.pset.begin();
+      while (ia != a.pset.end() || ib != b.pset.end()) {
+        ProcId p;
+        if (ib == b.pset.end() || (ia != a.pset.end() && *ia < *ib)) {
+          p = *ia++;
+        } else if (ia == a.pset.end() || *ib < *ia) {
+          p = *ib++;
+        } else {
+          ++ia;
+          ++ib;
+          continue;
+        }
+        if (covered[static_cast<std::size_t>(p)] != 0) {
+          out.push_back(round_tag + "Pset(R" + std::to_string(reg) +
+                        ") membership of p" + std::to_string(p) +
+                        " differs");
         }
       }
+    };
+    s_only_violations.clear();
+    auto ia = all_snap.regs.begin();
+    auto ib = s_snap.regs.begin();
+    while (ia != all_snap.regs.end() || ib != s_snap.regs.end()) {
+      if (ib == s_snap.regs.end() ||
+          (ia != all_snap.regs.end() && ia->first < ib->first)) {
+        check_register(ia->first, ia->second, kUntouched, report.violations);
+        ++ia;
+      } else if (ia == all_snap.regs.end() || ib->first < ia->first) {
+        check_register(ib->first, kUntouched, ib->second, s_only_violations);
+        ++ib;
+      } else {
+        check_register(ia->first, ia->second, ib->second, report.violations);
+        ++ia;
+        ++ib;
+      }
     }
+    report.violations.insert(report.violations.end(),
+                             std::make_move_iterator(s_only_violations.begin()),
+                             std::make_move_iterator(s_only_violations.end()));
   }
+  report.ok = report.violations.empty();
   return report;
 }
 

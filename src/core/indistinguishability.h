@@ -16,6 +16,12 @@
 // pair the lemma covers, with a description of any violation. It is used
 // by the property tests (the lemma must hold for every algorithm and every
 // S) and by the E7 bench.
+//
+// Cost: each round computes the covered processes (UP(p, r) ⊆ S) once,
+// merge-joins the two snapshots' register maps and merges each checked
+// register's two Psets, so round r costs O(n + |regs| + Σ|Pset|) steps.
+// A step is at most one UpTracker lookup plus one n/64-word subset test;
+// no register walks all n processes.
 #ifndef LLSC_CORE_INDISTINGUISHABILITY_H_
 #define LLSC_CORE_INDISTINGUISHABILITY_H_
 

@@ -1,13 +1,15 @@
 // Property tests for the appendix claims that support Lemma 5.2, checked
 // on arbitrary adversary runs, plus indistinguishability sweeps for a
 // Pset-sensitive algorithm (validate flags observe who cleared links —
-// the subtlest part of the register indistinguishability definition).
+// the subtlest part of the register indistinguishability definition),
+// each checked against the reference checker in indist_reference.h.
 #include <gtest/gtest.h>
 
 #include "core/adversary.h"
 #include "core/indistinguishability.h"
 #include "core/s_run.h"
 #include "core/up_tracker.h"
+#include "indist_reference.h"
 #include "runtime/toss.h"
 #include "util/rng.h"
 #include "wakeup/algorithms.h"
@@ -64,7 +66,7 @@ TEST_P(LinkProbeIndistSweep, Lemma52HoldsForPsetSensitiveAlgorithm) {
     System s_sys(n, link_probe(), tosses);
     const RunLog s_log = run_s_run(s_sys, all_log, up, s);
     const IndistReport report =
-        check_indistinguishability(all_log, s_log, up, s);
+        check_against_reference(all_log, s_log, up, s, "S=" + s.to_string());
     EXPECT_TRUE(report.ok)
         << "S=" << s.to_string() << ": " << report.violations.front();
   }

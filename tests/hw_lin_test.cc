@@ -22,6 +22,7 @@
 #include "hw/fault.h"
 #include "hw/hw_executor.h"
 #include "hw/hw_history.h"
+#include "hw/oversub_executor.h"
 #include "lin/checker.h"
 #include "memory/storage_policy.h"
 #include "objects/arith.h"
@@ -304,31 +305,60 @@ SimTask tas_workload(ProcCtx ctx, ConcurrentHistoryRecorder* rec) {
   co_return v;
 }
 
+// The strict TAS's SCs depend on the interleaving: a process that runs
+// alone first wins after one claim SC, and its rivals then see the claim
+// and never SC at all. A plan that fails SCs at some rate below 1 may
+// therefore inject nothing, so the fault legs force their precondition:
+//   * the oblivious plan fails every SC (rate 1) until a budget of
+//     kTasFaultBudget is spent. A strict TAS completes only after some
+//     claim SC succeeds, which needs the budget spent first, so every run
+//     injects exactly kTasFaultBudget failures, on any schedule.
+//   * the adaptive adversary fails only the most knowledgeable process's
+//     SCs, and on free-running threads that process may never SC. Its leg
+//     runs on one carrier thread that switches processes only after a
+//     failed SC (`one_carrier`). p0 then runs alone up to its first SC,
+//     when every process still knows only itself; p0 is the lowest-id
+//     argmax, so the adversary targets it and that SC fails, on any seed.
+constexpr std::uint64_t kTasFaultBudget = 3;
+
+FaultPlan forced_sc_failure_plan(std::uint64_t seed) {
+  FaultPlan plan;
+  plan.seed = seed;
+  plan.sc_fail_rate = 1.0;
+  plan.fault_budget = kTasFaultBudget;
+  return plan;
+}
+
 History record_faulted_tas_history(std::uint64_t seed, const FaultPlan& plan,
-                                   FaultStats* stats, StoragePolicy storage) {
+                                   FaultStats* stats, StoragePolicy storage,
+                                   bool one_carrier) {
   TasProtocolAdapter tas(kFaultProcs, TasOptions{});
   ConcurrentHistoryRecorder rec(tas, kFaultProcs);
-  HwRunOptions opts;
+  OversubRunOptions opts;
   opts.seed = seed;
   opts.storage = storage;
   opts.fault = plan.enabled() ? &plan : nullptr;
-  HwExecutor exec(opts);
+  opts.num_threads = 1;
+  opts.yield_policy = YieldPolicy::kOnScFailure;
+  const ProcBody body = [&rec](ProcCtx ctx, ProcId, int) {
+    return tas_workload(ctx, &rec);
+  };
   const HwRunResult run =
-      exec.run(kFaultProcs, [&rec](ProcCtx ctx, ProcId, int) {
-        return tas_workload(ctx, &rec);
-      });
+      one_carrier ? OversubscribedExecutor(opts).run(kFaultProcs, body)
+                  : HwExecutor(opts).run(kFaultProcs, body);
   EXPECT_TRUE(run.ok);
   if (stats != nullptr) *stats = run.fault;
   return rec.take();
 }
 
 void expect_faulted_tas_history_linearizable(const FaultPlan& plan,
-                                             StoragePolicy storage) {
+                                             StoragePolicy storage,
+                                             bool one_carrier) {
   const ObjectFactory factory = [] { return std::make_unique<TasObject>(); };
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     FaultStats stats;
     const History hist =
-        record_faulted_tas_history(seed, plan, &stats, storage);
+        record_faulted_tas_history(seed, plan, &stats, storage, one_carrier);
     ASSERT_EQ(hist.ops.size(), static_cast<std::size_t>(kFaultProcs));
     // The injection actually happened — without it the test is vacuous.
     EXPECT_GT(stats.injected_sc_failures, 0u);
@@ -347,10 +377,8 @@ void expect_faulted_tas_history_linearizable(const FaultPlan& plan,
 }
 
 TEST_P(HwLinFaultTest, TasHistoryUnderObliviousScFailuresIsLinearizable) {
-  FaultPlan plan;
-  plan.seed = 7;
-  plan.sc_fail_rate = 0.4;
-  expect_faulted_tas_history_linearizable(plan, GetParam());
+  expect_faulted_tas_history_linearizable(forced_sc_failure_plan(7),
+                                          GetParam(), /*one_carrier=*/false);
 }
 
 TEST_P(HwLinFaultTest, TasHistoryUnderAdaptiveAdversaryIsLinearizable) {
@@ -358,17 +386,17 @@ TEST_P(HwLinFaultTest, TasHistoryUnderAdaptiveAdversaryIsLinearizable) {
   plan.seed = 7;
   plan.strategy = FaultStrategyKind::kAdaptive;
   plan.fault_budget = 6;
-  expect_faulted_tas_history_linearizable(plan, GetParam());
+  expect_faulted_tas_history_linearizable(plan, GetParam(),
+                                          /*one_carrier=*/true);
 }
 
 // Leader election rides the same claim register: under the same injection
 // pressure every process must report the SAME elected id (agreement is
 // the object's whole spec — no history search needed, the responses are
-// the proof obligation).
+// the proof obligation). The plan forces its injections as the TAS
+// oblivious leg's does.
 TEST_P(HwLinFaultTest, LeaderElectionUnderFaultsAgreesOnOneLeader) {
-  FaultPlan plan;
-  plan.seed = 9;
-  plan.sc_fail_rate = 0.4;
+  const FaultPlan plan = forced_sc_failure_plan(9);
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     HwRunOptions opts;
     opts.seed = seed;
@@ -377,7 +405,7 @@ TEST_P(HwLinFaultTest, LeaderElectionUnderFaultsAgreesOnOneLeader) {
     HwExecutor exec(opts);
     const HwRunResult run = exec.run(kFaultProcs, leader_election_body());
     ASSERT_TRUE(run.ok);
-    EXPECT_GT(run.fault.injected_sc_failures, 0u);
+    EXPECT_EQ(run.fault.injected_sc_failures, kTasFaultBudget);
     ASSERT_TRUE(run.results[0].holds_u64());
     const std::uint64_t leader = run.results[0].as_u64();
     EXPECT_LT(leader, static_cast<std::uint64_t>(kFaultProcs));

@@ -44,6 +44,20 @@ TEST(LowerBound, IndistinguishabilityHoldsWhenRequested) {
                                 static_cast<int>(report.winner_ops)));
 }
 
+TEST(LowerBound, IndistinguishabilityHoldsAtLargeN) {
+  // The full (S,A)-run pipeline at n = 1024: the Lemma 5.2 check is linear
+  // in the run, so the large-n analysis stays cheap enough for every test
+  // run.
+  WakeupLowerBoundOptions opts;
+  opts.always_check_indistinguishability = true;
+  const WakeupLowerBoundReport report =
+      analyze_wakeup_run(tournament_wakeup(), 1024, nullptr, opts);
+  ASSERT_TRUE(report.s_run_built);
+  EXPECT_TRUE(report.bound_met) << report.summary();
+  EXPECT_TRUE(report.indist.ok) << report.indist.summary();
+  EXPECT_GT(report.indist.register_checks, 0u);
+}
+
 TEST(LowerBound, CheatingWakeupRefutedBySRunWitness) {
   // A "solution" that returns 1 after 2 operations. For n = 64,
   // log_4 64 = 3 > 2, so Theorem 6.1 says it cannot be correct — and the

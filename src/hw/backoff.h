@@ -145,7 +145,7 @@ class Backoff {
   std::uint32_t window() const { return window_; }
   const BackoffStats& stats() const { return stats_; }
 
- private:
+  // One spin-wait hint (x86 `pause`, arm `yield`).
   static void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
     __builtin_ia32_pause();
@@ -156,6 +156,7 @@ class Backoff {
 #endif
   }
 
+ private:
   void park(ParkSpot& spot, const std::atomic<std::uint64_t>* word,
             std::uint64_t observed);
 

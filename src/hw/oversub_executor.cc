@@ -28,9 +28,10 @@ using hw_internal::Watchdog;
 
 // The monitored platform plus the yield policy: after an op executed
 // inline, decide whether the coroutine gives its carrier thread back.
-// ops_since_yield_ is indexed by ProcId and only ever touched from the
-// carrier thread currently running that process (a process's steps are
-// serialized by the run queue), so plain integers suffice.
+// ops_since_yield_ and wake_ns_ are indexed by ProcId and only ever
+// touched from the carrier thread currently running that process (a
+// process's steps are serialized by the run queue), so plain integers
+// suffice.
 class OversubPlatform final : public MonitoredHwPlatform {
  public:
   OversubPlatform(HwMemory* memory,
@@ -42,7 +43,8 @@ class OversubPlatform final : public MonitoredHwPlatform {
                             stall_unit_ns),
         policy_(policy),
         every_k_(std::max<std::uint32_t>(1, every_k)),
-        ops_since_yield_(static_cast<std::size_t>(m), 0) {}
+        ops_since_yield_(static_cast<std::size_t>(m), 0),
+        wake_ns_(static_cast<std::size_t>(m), 0) {}
 
   bool yield_after_op(ProcId p, const PendingOp& op,
                       const OpResult& result) override {
@@ -63,23 +65,43 @@ class OversubPlatform final : public MonitoredHwPlatform {
     return false;
   }
 
-  bool yield_now(ProcId p) override {
-    (void)p;
+  bool yield_now(ProcId p, std::uint64_t not_before_ns) override {
+    wake_ns_[static_cast<std::size_t>(p)] = not_before_ns;
     return true;
+  }
+
+  // The not-before time of p's latest explicit yield (0 = none, or a plain
+  // ctx.yield()); reading it clears it, so an op-policy yield that follows
+  // never inherits a stale deadline. Neighbouring slots belong to
+  // processes on other carriers, so the common 0 case only reads.
+  std::uint64_t take_wake_ns(ProcId p) {
+    std::uint64_t& wake = wake_ns_[static_cast<std::size_t>(p)];
+    return wake == 0 ? 0 : std::exchange(wake, 0);
   }
 
  private:
   YieldPolicy policy_;
   std::uint32_t every_k_;
   std::vector<std::uint32_t> ops_since_yield_;
+  std::vector<std::uint64_t> wake_ns_;
+};
+
+// A process asleep in ctx.yield_until, keyed by its wake time.
+struct Sleeper {
+  std::uint64_t wake_ns;
+  Process* proc;
+  // std::push_heap/pop_heap build a max-heap; invert for earliest-first.
+  bool operator<(const Sleeper& o) const { return wake_ns > o.wake_ns; }
 };
 
 // One run-queue shard per carrier thread. A worker pops its own shard
 // from the front (FIFO keeps arrival order, which keeps service-mode
-// latencies honest) and steals from a sibling's back when dry.
+// latencies honest) and steals from a sibling's back when dry. Sleepers
+// wait in the shard's deadline heap, off the FIFO, until they are due.
 struct alignas(64) Shard {
   std::mutex mu;
   std::deque<Process*> q;
+  std::vector<Sleeper> sleepers;  // min-heap on wake_ns
 };
 
 // Pool-wide scheduler state. The idle protocol mirrors the register
@@ -105,6 +127,17 @@ struct SchedState {
     }
   }
 
+  // Take proc off the run queue until steady time wake_ns. No wake-up is
+  // owed to idle workers: the carrier calling this sees pending_sleepers
+  // > 0 and stays awake (spinning) until the sleeper is due.
+  void sleep(int shard_idx, Process* proc, std::uint64_t wake_ns) {
+    Shard& s = shards[static_cast<std::size_t>(shard_idx)];
+    std::lock_guard<std::mutex> lock(s.mu);
+    s.sleepers.push_back(Sleeper{wake_ns, proc});
+    std::push_heap(s.sleepers.begin(), s.sleepers.end());
+    pending_sleepers.fetch_add(1, std::memory_order_relaxed);
+  }
+
   // Termination / cancellation: wake every idle worker unconditionally.
   void broadcast() {
     work_epoch.fetch_add(1, std::memory_order_seq_cst);
@@ -112,10 +145,19 @@ struct SchedState {
     waiter->wake_all(idle_spot.seq);
   }
 
+  // Own shard first, then siblings; each shard moves its due sleepers
+  // onto its FIFO before it is looked at. The clock is read only while
+  // some process sleeps, so runs without sleepers pay nothing for the
+  // heap.
   Process* pop(int w, std::uint64_t* steals) {
+    const std::uint64_t now_ns =
+        pending_sleepers.load(std::memory_order_relaxed) != 0
+            ? hw_internal::steady_now_ns()
+            : 0;
     {
       Shard& own = shards[static_cast<std::size_t>(w)];
       std::lock_guard<std::mutex> lock(own.mu);
+      wake_due(own, now_ns);
       if (!own.q.empty()) {
         Process* proc = own.q.front();
         own.q.pop_front();
@@ -126,6 +168,7 @@ struct SchedState {
     for (int d = 1; d < n; ++d) {
       Shard& victim = shards[static_cast<std::size_t>((w + d) % n)];
       std::lock_guard<std::mutex> lock(victim.mu);
+      wake_due(victim, now_ns);
       if (!victim.q.empty()) {
         Process* proc = victim.q.back();
         victim.q.pop_back();
@@ -136,11 +179,30 @@ struct SchedState {
     return nullptr;
   }
 
+  // Move every sleeper of s due at now_ns onto its FIFO, earliest first.
+  // Caller holds s.mu; now_ns == 0 means nobody sleeps.
+  void wake_due(Shard& s, std::uint64_t now_ns) {
+    int moved = 0;
+    while (!s.sleepers.empty() && s.sleepers.front().wake_ns <= now_ns) {
+      std::pop_heap(s.sleepers.begin(), s.sleepers.end());
+      s.q.push_back(s.sleepers.back().proc);
+      s.sleepers.pop_back();
+      ++moved;
+    }
+    if (moved > 0) {
+      pending_sleepers.fetch_sub(moved, std::memory_order_relaxed);
+    }
+  }
+
   std::vector<Shard> shards;
   Waiter* waiter;
   std::atomic<std::uint64_t> work_epoch{0};
   ParkSpot idle_spot;
   std::atomic<int> remaining{0};
+  // Processes in some shard's deadline heap. While it is nonzero an idle
+  // worker spins instead of parking, so a due sleeper is resumed within a
+  // scan, not a park timeout.
+  std::atomic<int> pending_sleepers{0};
 };
 
 }  // namespace
@@ -260,7 +322,11 @@ HwRunResult OversubscribedExecutor::run(int m, const ProcBody& body) {
           sched.work_epoch.load(std::memory_order_seq_cst);
       Process* proc = sched.pop(w, &steals);
       if (proc == nullptr) {
-        idle.on_failure(&sched.idle_spot, &sched.work_epoch, epoch);
+        if (sched.pending_sleepers.load(std::memory_order_relaxed) != 0) {
+          Backoff::cpu_relax();
+        } else {
+          idle.on_failure(&sched.idle_spot, &sched.work_epoch, epoch);
+        }
         continue;
       }
       idle.on_success();
@@ -277,7 +343,15 @@ HwRunResult OversubscribedExecutor::run(int m, const ProcBody& body) {
         }
         if (proc->step_kind() == StepKind::kYielded) {
           ++yields;
-          sched.push(w, proc);  // locality: back on this worker's shard
+          // Locality: back on this worker's shard — its FIFO, or its
+          // deadline heap for a ctx.yield_until.
+          const std::uint64_t wake_ns = platform.take_wake_ns(pid);
+          if (wake_ns != 0) {
+            monitor.note_sleep(pid, wake_ns);
+            sched.sleep(w, proc, wake_ns);
+          } else {
+            sched.push(w, proc);
+          }
         } else {
           finished = true;
         }

@@ -15,6 +15,17 @@
 // register-in-waiters → re-check protocol the register spots use, with
 // the work-epoch counter as the re-checked word.
 //
+// Timed sleep: ctx.yield_until(t) takes the process off the FIFO into its
+// shard's deadline heap (a min-heap of wake time, under the shard mutex).
+// Every pop first moves the shard's due sleepers onto the FIFO, and a
+// steal drains the victim's due sleepers the same way, so no process is
+// resumed before its wake time and none waits longer than one scan past
+// it. While any sleeper is pending an idle worker spins (`pause`) instead
+// of parking — the carrier that put a process to sleep therefore stays
+// awake to wake it — and it parks on the 1 ms-timeout idle spot only once
+// no sleepers are left. A plain ctx.yield() still goes straight back on
+// the FIFO.
+//
 // Determinism contract (what makes the oversubscribed leg of
 // hw_fault_diff_test replay bit-for-bit):
 //   * tosses — SeededTossAssignment outcomes are pure in (seed, p, j) and
@@ -31,7 +42,8 @@
 //
 // The watchdog (hw/run_support.h) tracks progress per LOGICAL process
 // and scales its stagnation window by ⌈M/N⌉, so a correctly parked
-// coroutine — runnable, just unscheduled — is not misread as hung.
+// coroutine — runnable, just unscheduled — is not misread as hung; a
+// sleeper whose wake time is still ahead counts as waiting, not wedged.
 #ifndef LLSC_HW_OVERSUB_EXECUTOR_H_
 #define LLSC_HW_OVERSUB_EXECUTOR_H_
 
@@ -75,7 +87,8 @@ class OversubscribedExecutor {
   // per-process contexts. Returns the same result shape as
   // HwExecutor::run (n = m), plus populated HwSchedStats. Exceptions
   // thrown by a body are re-thrown on the calling thread after the pool
-  // joins. ctx.yield() suspends here (and only here).
+  // joins. ctx.yield() and ctx.yield_until() suspend here (and only
+  // here).
   HwRunResult run(int m, const ProcBody& body);
 
   const OversubRunOptions& options() const { return options_; }

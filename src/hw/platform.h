@@ -67,9 +67,11 @@ class Platform {
   // yield_after_op asks whether the coroutine should give up its carrier
   // thread (the op's result is already latched; the scheduler resumes the
   // coroutine later and the awaitable reads it then). yield_now is the
-  // same question for an explicit ctx.yield() point. Both default to
-  // false: 1:1 platforms and the simulator never suspend here, so
-  // algorithm code with yield points runs unchanged everywhere.
+  // same question for an explicit ctx.yield() point; not_before_ns is the
+  // steady-clock time before which a ctx.yield_until() caller must not be
+  // resumed (0 for a plain yield). Both default to false: 1:1 platforms
+  // and the simulator never suspend here, so algorithm code with yield
+  // points runs unchanged everywhere.
   virtual bool yield_after_op(ProcId p, const PendingOp& op,
                               const OpResult& result) {
     (void)p;
@@ -77,8 +79,9 @@ class Platform {
     (void)result;
     return false;
   }
-  virtual bool yield_now(ProcId p) {
+  virtual bool yield_now(ProcId p, std::uint64_t not_before_ns) {
     (void)p;
+    (void)not_before_ns;
     return false;
   }
 

@@ -44,6 +44,16 @@ namespace hw_internal {
 
 using Clock = std::chrono::steady_clock;
 
+// A steady-clock time as nanoseconds since the clock's epoch — the unit of
+// ProcCtx::yield_until deadlines.
+inline std::uint64_t steady_ns(Clock::time_point t) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          t.time_since_epoch())
+          .count());
+}
+inline std::uint64_t steady_now_ns() { return steady_ns(Clock::now()); }
+
 // Thrown out of the monitored platform to unwind a worker's coroutine
 // stack; caught by the executor's worker loop and turned into a per-
 // process outcome. These never escape an executor's run().
@@ -57,11 +67,14 @@ struct CancelledSignal {};
 // a freshly restarted one may re-execute the same step count — neither
 // must read as a wedged run, and neither must count double as progress
 // (the signature sums all three, so each restart/wait-unit moves it
-// exactly once).
+// exactly once). A process asleep in ctx.yield_until takes no steps at
+// all until its wake time; sleep_until_ns records that time, and while it
+// lies in the future the watchdog reads the run as waiting, not wedged.
 struct alignas(64) WorkerProgress {
   std::atomic<std::uint64_t> steps{0};
   std::atomic<std::uint32_t> incarnations{0};
   std::atomic<std::uint64_t> recovery_waits{0};
+  std::atomic<std::uint64_t> sleep_until_ns{0};
   std::atomic<bool> finished{false};
 };
 
@@ -94,6 +107,11 @@ struct RunMonitor {
   void note_recovery_wait(ProcId p) {
     progress[static_cast<std::size_t>(p)].recovery_waits.fetch_add(
         1, std::memory_order_relaxed);
+  }
+  // p left the run queue until steady time wake_ns (ctx.yield_until).
+  void note_sleep(ProcId p, std::uint64_t wake_ns) {
+    progress[static_cast<std::size_t>(p)].sleep_until_ns.store(
+        wake_ns, std::memory_order_relaxed);
   }
 
   std::atomic<bool> cancel{false};
@@ -258,16 +276,23 @@ class Watchdog {
       if (config_.progress_timeout_ms > 0) {
         // The change signature folds in restarts and recovery-delay units
         // so a recovering process is not declared hung mid-rejoin. (steps
-        // can only grow, so summing the three cannot mask a stall.)
+        // can only grow, so summing the three cannot mask a stall.) A
+        // sleep whose wake time is still ahead counts as a change on every
+        // poll: the window starts only once a sleeper is due and the pool
+        // has failed to resume it.
+        const std::uint64_t now_ns = steady_ns(now);
         std::uint64_t sum = 0;
         int finished = 0;
+        bool sleeping = false;
         for (const WorkerProgress& w : monitor_->progress) {
           sum += w.steps.load(std::memory_order_relaxed);
           sum += w.incarnations.load(std::memory_order_relaxed);
           sum += w.recovery_waits.load(std::memory_order_relaxed);
+          sleeping |=
+              w.sleep_until_ns.load(std::memory_order_relaxed) > now_ns;
           finished += w.finished.load(std::memory_order_relaxed) ? 1 : 0;
         }
-        if (sum != last_sum || finished != last_finished) {
+        if (sum != last_sum || finished != last_finished || sleeping) {
           last_sum = sum;
           last_finished = finished;
           last_change = now;

@@ -53,9 +53,12 @@ std::vector<std::uint64_t> arrival_schedule(std::uint64_t seed, ProcId p,
 
 // One client process: wait (cooperatively) for each scheduled arrival,
 // perform the workload's operation, record completion − scheduled
-// arrival. A free function taking pointers, per the GCC 12 coroutine
-// notes in runtime/sim_task.h; the co_await sits in the loop BODY, never
-// in a condition (see Process::resume()).
+// arrival. The wait is a timed yield: on the pool the client sleeps off
+// the run queue until it is due; the loop re-checks the clock because
+// yield_until never suspends on a 1:1 platform. A free function taking
+// pointers, per the GCC 12 coroutine notes in runtime/sim_task.h; the
+// co_await sits in the loop BODY, never in a condition (see
+// Process::resume()).
 //
 // Crash-recovery: the latency histogram is the journal — its count is the
 // number of COMPLETED requests, so a restarted incarnation resumes the
@@ -73,7 +76,7 @@ SimTask client_body(ProcCtx ctx, const ServiceShared* shared,
     const Clock::time_point due =
         shared->epoch + std::chrono::nanoseconds((*arrivals)[k]);
     while (Clock::now() < due) {
-      co_await ctx.yield();
+      co_await ctx.yield_until(hw_internal::steady_ns(due));
     }
     try {
       if (shared->workload == ServiceWorkload::kFetchInc) {

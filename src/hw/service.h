@@ -8,9 +8,13 @@
 // λ — and the gaps are derived deterministically from (seed, p), so a
 // service run's offered load replays exactly.
 //
-// A process waits for its next arrival by cooperative yielding
-// (ctx.yield() — no carrier thread is pinned while waiting), executes
-// the configured operation through the usual awaitables, and records the
+// A process waits for its next arrival with a timed cooperative yield
+// (ctx.yield_until(due)): on the pool it sleeps in its shard's deadline
+// heap, off the run queue, and is resumed once due — no carrier thread is
+// pinned while it waits, and the clients still running ops do not queue
+// behind it. It then executes the configured operation through the usual
+// awaitables (under kEveryOp a fetch&inc request costs at most two
+// yields: the wait and the op), and records the
 // enqueue→complete latency: completion time minus the SCHEDULED arrival,
 // so queueing delay under backlog is included — the open-loop convention
 // that makes p99 honest when the system saturates (coordinated-omission-

@@ -64,8 +64,11 @@ bool Process::submit_op(PendingOp op, std::coroutine_handle<> frame) {
   return true;
 }
 
-bool Process::submit_yield(std::coroutine_handle<> frame) {
-  if (platform_ == nullptr || !platform_->yield_now(id_)) return false;
+bool Process::submit_yield(std::uint64_t not_before_ns,
+                           std::coroutine_handle<> frame) {
+  if (platform_ == nullptr || !platform_->yield_now(id_, not_before_ns)) {
+    return false;
+  }
   kind_ = StepKind::kYielded;
   resume_handle_ = frame;
   return true;

@@ -121,6 +121,13 @@ class ProcCtx {
   // open-loop service bodies wait for an arrival time without pinning a
   // thread (hw/service.h).
   internal::YieldAwaitable yield() const;
+  // Timed cooperative yield: like yield(), but the coroutine is not resumed
+  // before `steady_ns` (std::chrono::steady_clock nanoseconds since its
+  // epoch). On an oversubscribed platform the process leaves the run queue
+  // until then instead of being cycled; everywhere else it is the same
+  // no-op as yield(), so a caller waiting for a time keeps its
+  // `while (now < due)` re-check loop.
+  internal::YieldAwaitable yield_until(std::uint64_t steady_ns) const;
 
  private:
   Process* proc_;
@@ -220,9 +227,11 @@ class Process {
   // in the deferred case deliver/resume must resume exactly that frame.
   bool submit_op(PendingOp op, std::coroutine_handle<> frame);
   bool submit_toss(std::uint64_t range, std::coroutine_handle<> frame);
-  // ctx.yield(): true = suspend as kYielded (oversubscribed platform),
-  // false = continue inline (everywhere else).
-  bool submit_yield(std::coroutine_handle<> frame);
+  // ctx.yield() / ctx.yield_until(): true = suspend as kYielded
+  // (oversubscribed platform), false = continue inline (everywhere else).
+  // not_before_ns is 0 for a plain yield.
+  bool submit_yield(std::uint64_t not_before_ns,
+                    std::coroutine_handle<> frame);
 
   void set_pending_op(PendingOp op, std::coroutine_handle<> frame) {
     pending_op_ = std::move(op);
@@ -327,10 +336,11 @@ struct TossAwaitable {
 
 struct YieldAwaitable {
   Process* proc;
+  std::uint64_t not_before_ns;
 
   bool await_ready() const noexcept { return false; }
   bool await_suspend(std::coroutine_handle<> frame) {
-    return proc->submit_yield(frame);
+    return proc->submit_yield(not_before_ns, frame);
   }
   void await_resume() {}
 };
@@ -381,7 +391,12 @@ inline internal::TossAwaitable ProcCtx::toss(std::uint64_t range) const {
   return {proc_, range};
 }
 
-inline internal::YieldAwaitable ProcCtx::yield() const { return {proc_}; }
+inline internal::YieldAwaitable ProcCtx::yield() const { return {proc_, 0}; }
+
+inline internal::YieldAwaitable ProcCtx::yield_until(
+    std::uint64_t steady_ns) const {
+  return {proc_, steady_ns};
+}
 
 }  // namespace llsc
 

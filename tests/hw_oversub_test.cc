@@ -3,11 +3,13 @@
 // safe, so an oversubscribed run reproduces the 1:1 executor's results
 // bit-for-bit), operation exactness under every yield policy, the
 // watchdog's ⌈M/N⌉-scaled stagnation window (the false-hung regression),
-// and a TSan-facing stress leg with adaptive fault injection.
+// ctx.yield_until's deadline heap (no early resume; same results on every
+// substrate), and a TSan-facing stress leg with adaptive fault injection.
 #include "hw/oversub_executor.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -15,10 +17,19 @@
 #include "hw/fault.h"
 #include "hw/fault_scenarios.h"
 #include "memory/rmw.h"
+#include "runtime/system.h"
+#include "sched/scheduler.h"
 #include "util/rng.h"
 
 namespace llsc {
 namespace {
+
+std::uint64_t steady_now_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 OversubRunOptions pool(int num_threads, std::uint64_t seed,
                        YieldPolicy policy = YieldPolicy::kEveryOp) {
@@ -73,6 +84,41 @@ SimTask llsc_wins_body(ProcCtx ctx) {
     if (sc.ok) ++wins;
   }
   co_return Value::of_u64(wins);
+}
+
+// Four timed sleeps of 20–160 µs, each a single yield_until with no
+// re-check loop; returns how many resumed before their wake time.
+SimTask early_wake_body(ProcCtx ctx) {
+  std::uint64_t early = 0;
+  for (int k = 0; k < 4; ++k) {
+    const std::uint64_t wake =
+        steady_now_ns() +
+        20'000 * static_cast<std::uint64_t>(1 + (ctx.id() + k) % 8);
+    co_await ctx.yield_until(wake);
+    if (steady_now_ns() < wake) ++early;
+  }
+  co_return Value::of_u64(early);
+}
+
+// Tosses, LL/SC on the process's own register, and a toss-sized timed
+// wait per round: the result is a pure function of the toss assignment,
+// whether yield_until suspends (pool) or is a no-op (simulator, 1:1).
+SimTask timed_toss_body(ProcCtx ctx) {
+  const RegId own = static_cast<RegId>(ctx.id());
+  std::uint64_t sum = 0;
+  for (int k = 0; k < 4; ++k) {
+    const std::uint64_t t = co_await ctx.toss(100);
+    const Value cur = co_await ctx.ll(own);
+    const std::uint64_t base = cur.is_nil() ? 0 : cur.as_u64();
+    (void)co_await ctx.sc(own, Value::of_u64(base + t));
+    const std::uint64_t due = steady_now_ns() + 5'000 * (1 + t % 4);
+    while (steady_now_ns() < due) {
+      co_await ctx.yield_until(due);
+    }
+    sum = sum * 101 + t;
+  }
+  const Value total = co_await ctx.read(own);
+  co_return Value::of_u64(sum ^ (total.as_u64() << 48));
 }
 
 std::uint64_t result_sum(const HwRunResult& run) {
@@ -169,6 +215,65 @@ TEST(HwOversubTest, TossStreamsAreMigrationSafe) {
     OversubscribedExecutor again(pool(2, seed));
     const HwRunResult replay = again.run(m, body);
     EXPECT_EQ(replay.results, ref.results) << "seed=" << seed;
+  }
+}
+
+TEST(HwOversubTest, YieldUntilNeverResumesBeforeWakeTime) {
+  // M = 64 sleepers on N = 2 carriers: a process leaves the run queue at
+  // each yield_until and must not come back — by its own shard or by a
+  // steal — before its wake time.
+  const int m = 64;
+  const ProcBody body = [](ProcCtx ctx, ProcId, int) {
+    return early_wake_body(ctx);
+  };
+  OversubscribedExecutor exec(pool(2, 3));
+  const HwRunResult run = exec.run(m, body);
+  ASSERT_TRUE(run.ok);
+  for (ProcId p = 0; p < m; ++p) {
+    const Value& early = run.results[static_cast<std::size_t>(p)];
+    ASSERT_TRUE(early.holds_u64()) << "p=" << p;
+    EXPECT_EQ(early.as_u64(), 0u) << "early resumes of p=" << p;
+  }
+  // Every timed yield suspends exactly once on the pool, and the body
+  // takes no shared ops, so the count is exact.
+  EXPECT_EQ(run.sched.yields, static_cast<std::uint64_t>(m) * 4);
+}
+
+TEST(HwOversubTest, YieldUntilResultsMatchAcrossSubstrates) {
+  // The timed yield is not a step of the model: the simulator, the 1:1
+  // executor and every pool shape must agree on results, toss counts and
+  // shared-op counts, bit for bit.
+  const int m = 16;
+  const ProcBody body = [](ProcCtx ctx, ProcId, int) {
+    return timed_toss_body(ctx);
+  };
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    System sys(m, body, std::make_shared<SeededTossAssignment>(seed));
+    RoundRobinScheduler sched;
+    ASSERT_TRUE(sched.run(sys, 1 << 20).all_terminated);
+    HwRunOptions one_to_one;
+    one_to_one.seed = seed;
+    HwExecutor baseline(one_to_one);
+    const HwRunResult ref = baseline.run(m, body);
+    ASSERT_TRUE(ref.ok);
+    for (ProcId p = 0; p < m; ++p) {
+      const std::size_t s = static_cast<std::size_t>(p);
+      EXPECT_EQ(ref.results[s], sys.process(p).result())
+          << "seed=" << seed << " p=" << p;
+      EXPECT_EQ(ref.num_tosses[s], sys.process(p).num_tosses());
+      EXPECT_EQ(ref.shared_ops[s], sys.process(p).shared_ops());
+    }
+    for (const int num_threads : {1, 2, 4}) {
+      OversubscribedExecutor exec(pool(num_threads, seed));
+      const HwRunResult run = exec.run(m, body);
+      ASSERT_TRUE(run.ok) << "seed=" << seed << " N=" << num_threads;
+      EXPECT_EQ(run.results, ref.results)
+          << "seed=" << seed << " N=" << num_threads;
+      EXPECT_EQ(run.num_tosses, ref.num_tosses)
+          << "seed=" << seed << " N=" << num_threads;
+      EXPECT_EQ(run.shared_ops, ref.shared_ops)
+          << "seed=" << seed << " N=" << num_threads;
+    }
   }
 }
 

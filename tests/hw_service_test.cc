@@ -1,7 +1,9 @@
 // Service-mode load generator (hw/service.h) and the HDR-style latency
 // histogram it reports into. The accounting contract: a clean open-loop
 // run serves every offered op, the merged histogram holds exactly one
-// sample per served op, and quantiles are monotone in q.
+// sample per served op, and quantiles are monotone in q. A waiting client
+// sleeps off the run queue (bounded yields per request) and a sleeping
+// run is never cancelled as hung.
 #include "hw/service.h"
 
 #include <gtest/gtest.h>
@@ -101,6 +103,53 @@ TEST_P(HwServiceTest, CleanRunServesEveryOfferedOp) {
   EXPECT_EQ(r.run.sched.num_threads, 2);
   EXPECT_EQ(r.run.sched.num_procs, 16);
   EXPECT_GT(r.run.sched.yields, 0u);
+}
+
+TEST(HwServiceWaitTest, WaitingClientsSleepInsteadOfSpinYielding) {
+  // Under kEveryOp a fetch&inc request costs one yield for its RMW and at
+  // most one timed yield for its arrival wait: the client sleeps off the
+  // run queue until it is due instead of cycling through it.
+  ServiceOptions options;
+  options.procs = 16;
+  options.threads = 2;
+  options.ops_per_proc = 8;
+  options.arrival_rate_hz = 50'000.0;
+  options.workload = ServiceWorkload::kFetchInc;
+  options.yield_policy = YieldPolicy::kEveryOp;
+  options.seed = 9;
+  const ServiceResult r = run_service(options);
+  ASSERT_TRUE(r.run.ok);
+  EXPECT_EQ(r.served_ops, r.offered_ops);
+  EXPECT_GE(r.run.sched.yields, r.served_ops);
+  EXPECT_LE(r.run.sched.yields, 2 * r.served_ops);
+}
+
+TEST(HwServiceWaitTest, SleepingClientsAreNotCancelledAsHung) {
+  // Two clients at 10 requests/s wait ~200 ms between requests (this
+  // seed's schedule spans ~0.9 s), far longer than the stagnation window.
+  // A sleeping client takes no steps, so the watchdog must read a pending
+  // sleep as waiting, not as a wedged run. The window is still wide
+  // enough to ride out a carrier descheduled on a loaded one-core host
+  // once a sleeper is due.
+  ServiceOptions options;
+  options.procs = 2;
+  options.threads = 2;
+  options.ops_per_proc = 2;
+  options.arrival_rate_hz = 10.0;
+  options.workload = ServiceWorkload::kFetchInc;
+  options.seed = 8;
+  options.progress_timeout_ms = scale_timeout_ms(40);
+  options.timeout_ms = scale_timeout_ms(30'000);  // backstop only
+  const ServiceResult r = run_service(options);
+  EXPECT_FALSE(r.run.cancelled);
+  EXPECT_EQ(r.run.status, RunStatus::kClean);
+  EXPECT_EQ(r.served_ops, r.offered_ops);
+  // Non-vacuity: the run spans more stagnation windows than it has
+  // requests (+1 for the start), so some gap between steps was longer
+  // than a window. M = N, so the window is not scaled.
+  EXPECT_GT(r.run.wall_seconds * 1e3,
+            static_cast<double>((r.offered_ops + 1) *
+                                options.progress_timeout_ms));
 }
 
 TEST(HwServiceDeterminismTest, ArrivalScheduleIsPureInSeed) {

@@ -15,9 +15,10 @@
 // records both columns against log2_n.
 //
 // Substrates: Sim = Monte-Carlo over the sharded parallel driver
-// (adversary schedule, deterministic per seed); Hw = one thread per
-// process, n capped near the core count; Oversub = n >> cores on 2
-// carrier threads (the service-mode substrate). spec_violations counts
+// (adversary schedule, deterministic per seed); Hw = HwExecutor, one
+// carrier thread per process, n capped near the core count; Oversub =
+// n >> cores on 2 carrier threads (the service-mode substrate). Both hw
+// columns run the same pool run loop. spec_violations counts
 // samples where the exactly-one-winner postcondition failed and must be
 // ZERO — that is the acceptance gate bench_to_csv.py --check enforces.
 #include <benchmark/benchmark.h>

@@ -340,8 +340,8 @@ inline double fault_unit_roll(std::uint64_t h) {
 // hw/fault_adversary.h|cc (compiled into llsc_core so the serial
 // estimator can construct them; see src/core/CMakeLists.txt).
 //
-// Threading: decide()/observe() are called from the victim's own thread
-// (one thread per process on the hw backend); adversarial implementations
+// Threading: decide()/observe() are called from the thread carrying the
+// victim (a pool carrier on the hw backend); adversarial implementations
 // serialize internally — the serialized order under their lock *is* the
 // observed history their decisions are deterministic in. snapshot_trace()
 // is for quiescent use (after the run joined).

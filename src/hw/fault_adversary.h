@@ -29,8 +29,8 @@
 //     replays the adversarial schedule bit-for-bit on either substrate,
 //     because the lookup is as pure as the oblivious hash.
 //
-// Threading: decide()/observe() arrive on each process's own thread on
-// the hw backend. The recording strategies serialize on one mutex; the
+// Threading: decide()/observe() arrive on the thread carrying each process
+// on the hw backend. The recording strategies serialize on one mutex; the
 // serialized order under that lock is the observed history the decisions
 // are deterministic in (on the simulator that order is the deterministic
 // schedule, so recorded traces are reproducible; on the hw backend the

@@ -4,11 +4,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <exception>
-#include <thread>
 #include <utility>
 
-#include "hw/run_support.h"
+#include "hw/oversub_executor.h"
 #include "sched/scheduler.h"
 #include "runtime/system.h"
 #include "util/check.h"
@@ -17,12 +15,7 @@ namespace llsc {
 
 namespace {
 
-using hw_internal::CancelledSignal;
-using hw_internal::Clock;
-using hw_internal::CrashStopSignal;
-using hw_internal::MonitoredHwPlatform;
-using hw_internal::RunMonitor;
-using hw_internal::Watchdog;
+using Clock = std::chrono::steady_clock;
 
 // Process-wide timeout default; ~0 marks "not resolved yet" so the
 // LLSC_TIMEOUT_MS environment variable is read lazily, after a test/bench
@@ -136,188 +129,10 @@ std::uint64_t scale_timeout_ms(std::uint64_t ms) {
 HwExecutor::HwExecutor(HwRunOptions options) : options_(std::move(options)) {}
 
 HwRunResult HwExecutor::run(int n, const ProcBody& body) {
-  LLSC_EXPECTS(n >= 1, "an execution needs at least one process");
-  HwMemory memory(options_.num_registers, n, options_.backoff,
-                  options_.storage, options_.reclaimer);
-  if (!options_.register_groups.empty()) {
-    memory.set_register_groups(options_.register_groups);
-  }
-  std::shared_ptr<const TossAssignment> tosses = options_.tosses;
-  if (!tosses) {
-    tosses = std::make_shared<SeededTossAssignment>(options_.seed);
-  }
-  const bool inject =
-      options_.fault != nullptr && options_.fault->enabled();
-  std::optional<FaultInjector> injector;
-  if (inject) injector.emplace(*options_.fault, n);
-  RunMonitor monitor(n);
-  MonitoredHwPlatform platform(
-      &memory, tosses, injector ? &*injector : nullptr, &monitor,
-      inject ? options_.fault->stall_unit_ns : 0);
-
-  // Build control blocks and coroutine frames on the calling thread; a
-  // frame first executes inside start() on its worker thread (SimTask's
-  // initial suspend keeps attach() from running any body code here).
-  std::vector<std::unique_ptr<Process>> procs;
-  procs.reserve(static_cast<std::size_t>(n));
-  for (ProcId i = 0; i < n; ++i) {
-    auto proc = std::make_unique<Process>(i, n);
-    proc->set_platform(&platform);
-    proc->attach(body(ProcCtx(proc.get()), i, n));
-    procs.push_back(std::move(proc));
-  }
-
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(n));
-  std::vector<HwProcOutcome> outcome(static_cast<std::size_t>(n),
-                                     HwProcOutcome::kDone);
-  // Start gate: workers check in on `ready` and block on `gate` until the
-  // main thread flips it, so the wall clock starts when every worker is
-  // poised at its first instruction rather than at spawn time. Unlike the
-  // std::barrier this replaces, the gate has an abort value (-1): if
-  // spawning thread j fails, threads 0..j-1 can be released and joined
-  // instead of deadlocking the barrier forever.
-  std::atomic<int> ready{0};
-  std::atomic<int> gate{0};  // 0 = hold, 1 = run, -1 = abort
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(n));
-  const auto join_all = [&] {
-    for (auto& t : threads) {
-      if (t.joinable()) t.join();
-    }
-  };
-  try {
-    for (ProcId i = 0; i < n; ++i) {
-      threads.emplace_back([&, i] {
-        ready.fetch_add(1, std::memory_order_release);
-        ready.notify_one();
-        gate.wait(0, std::memory_order_acquire);
-        if (gate.load(std::memory_order_acquire) < 0) return;
-        const std::size_t s = static_cast<std::size_t>(i);
-        for (;;) {
-          try {
-            // Synchronous platform: this runs the whole body (or, after a
-            // restart, the new incarnation's body) to completion.
-            procs[s]->start();
-            break;
-          } catch (const CrashStopSignal&) {
-            // The signal unwound the coroutine (an await_suspend exception
-            // is re-thrown inside the frame), so the Process block reads as
-            // done-with-no-result; outcome[] is the source of truth here.
-            // A pause-and-resume (amnesia=false) recovery never reaches
-            // this catch — the platform serves it inline without
-            // unwinding — so a recoverable crash here is an amnesiac
-            // restart: serve the delay, drop the dead incarnation's
-            // reservations, and respawn the body on this same thread.
-            RecoverySpec rspec;
-            if (injector && injector->recovery_spec(i, &rspec)) {
-              const std::uint32_t units = injector->note_recovery(i);
-              try {
-                platform.recovery_wait(i, units);
-              } catch (const CancelledSignal&) {
-                outcome[s] = HwProcOutcome::kHung;
-                break;
-              }
-              memory.invalidate_links(i);
-              monitor.note_restart(i);
-              procs[s]->restart(body);
-              continue;
-            }
-            outcome[s] = HwProcOutcome::kCrashed;
-            break;
-          } catch (const CancelledSignal&) {
-            outcome[s] = HwProcOutcome::kHung;
-            break;
-          } catch (...) {
-            errors[s] = std::current_exception();
-            outcome[s] = HwProcOutcome::kHung;
-            // A failed body must not leave its peers running to a result
-            // that will be discarded by the rethrow below — and with a
-            // plan that crashes those peers' SC partners they might never
-            // finish at all.
-            monitor.cancel.store(true, std::memory_order_relaxed);
-            break;
-          }
-        }
-        monitor.progress[s].finished.store(true, std::memory_order_release);
-      });
-    }
-  } catch (...) {
-    gate.store(-1, std::memory_order_release);
-    gate.notify_all();
-    join_all();
-    throw;
-  }
-  for (int seen = ready.load(std::memory_order_acquire); seen < n;
-       seen = ready.load(std::memory_order_acquire)) {
-    ready.wait(seen, std::memory_order_acquire);
-  }
-  // The clock starts just before the release (not after the join: on a
-  // single-core host the OS may run a worker to completion before this
-  // thread is rescheduled, which would shrink the measured window).
-  const Clock::time_point t0 = Clock::now();
-  gate.store(1, std::memory_order_release);
-  gate.notify_all();
-
-  // Watchdog (hw/run_support.h): deadline + progress stagnation, oversub
-  // factor 1 — every logical process owns a thread here.
-  Watchdog watchdog(
-      &monitor,
-      Watchdog::Config{
-          .deadline_ms = options_.timeout_ms ? *options_.timeout_ms
-                                             : default_hw_timeout_ms(),
-          .progress_timeout_ms = options_.progress_timeout_ms,
-          .poll_ms = options_.watchdog_poll_ms,
-          .oversub_factor = 1},
-      t0);
-
-  join_all();
-  const Clock::time_point t1 = Clock::now();
-  watchdog.stop();
-  for (auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-
-  HwRunResult out;
-  out.n = n;
-  out.wall_seconds = seconds_between(t0, t1);
-  out.cancelled = monitor.cancel.load(std::memory_order_relaxed);
-  out.proc_status = outcome;
-  out.results.resize(static_cast<std::size_t>(n));
-  out.shared_ops.reserve(static_cast<std::size_t>(n));
-  out.num_tosses.reserve(static_cast<std::size_t>(n));
-  for (ProcId i = 0; i < n; ++i) {
-    const auto& proc = procs[static_cast<std::size_t>(i)];
-    const std::size_t s = static_cast<std::size_t>(i);
-    if (outcome[s] == HwProcOutcome::kCrashed) {
-      ++out.crashed_procs;
-    } else if (outcome[s] == HwProcOutcome::kDone && proc->done()) {
-      out.results[s] = proc->result();
-    } else {
-      out.proc_status[s] = HwProcOutcome::kHung;
-      ++out.hung_procs;
-    }
-    out.shared_ops.push_back(proc->shared_ops());
-    out.num_tosses.push_back(proc->num_tosses());
-    out.max_shared_ops = std::max(out.max_shared_ops, proc->shared_ops());
-    out.total_shared_ops += proc->shared_ops();
-  }
-  out.status = out.crashed_procs > 0
-                   ? RunStatus::kCrashed
-                   : (out.hung_procs > 0 ? RunStatus::kHung
-                                         : RunStatus::kClean);
-  out.ok = out.status == RunStatus::kClean;
-  // Without a fault plan or a watchdog firing, anything short of full
-  // completion is an executor bug — keep the seed's loud failure.
-  LLSC_CHECK(out.ok || inject || out.cancelled,
-             "a process failed to run to completion on hw");
-  out.reclaim = memory.reclaim_stats();
-  out.backoff = memory.backoff_stats();
-  out.width = memory.width_stats();
-  if (injector) {
-    out.fault = injector->stats();
-    out.decision_trace = injector->trace();
-  }
-  return out;
+  OversubRunOptions pool;
+  static_cast<HwRunOptions&>(pool) = options_;
+  pool.num_threads = n;
+  return OversubscribedExecutor(std::move(pool)).run(n, body);
 }
 
 UcThroughput run_uc_on_hw(HwExecutor& exec, UniversalConstruction& uc, int n,

@@ -8,10 +8,12 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "hw/platform.h"
 #include "hw/run_support.h"
 #include "util/check.h"
 
@@ -22,32 +24,84 @@ namespace {
 using hw_internal::CancelledSignal;
 using hw_internal::Clock;
 using hw_internal::CrashStopSignal;
-using hw_internal::MonitoredHwPlatform;
 using hw_internal::RunMonitor;
 using hw_internal::Watchdog;
 
-// The monitored platform plus the yield policy: after an op executed
-// inline, decide whether the coroutine gives its carrier thread back.
-// ops_since_yield_ and wake_ns_ are indexed by ProcId and only ever
-// touched from the carrier thread currently running that process (a
-// process's steps are serialized by the run queue), so plain integers
-// suffice.
-class OversubPlatform final : public MonitoredHwPlatform {
+// The pool's Platform over HwMemory. Every shared-memory op and toss
+// passes a cancellation checkpoint and ticks the monitor's progress
+// counter, and (when a plan is installed) runs behind the fault injector.
+// Worker bodies therefore observe watchdog cancellation and crash-stops as
+// exceptions at step boundaries — a body that loops without ever taking a
+// step cannot be cancelled (nothing can preempt a native thread), which is
+// why tests keep a ctest-level timeout as backstop.
+//
+// After an op executed inline, the yield policy decides whether the
+// coroutine gives its carrier thread back. With a carrier for every
+// process (N = M) no runnable process ever waits for a thread, so the
+// policy is never consulted; explicit ctx.yield() / ctx.yield_until() are
+// honoured either way. ops_since_yield_ and wake_ns_ are indexed by
+// ProcId and only ever touched from the carrier thread currently running
+// that process (a process's steps are serialized by the run queue), so
+// plain integers suffice.
+class OversubPlatform final : public Platform {
  public:
   OversubPlatform(HwMemory* memory,
                   std::shared_ptr<const TossAssignment> tosses,
                   FaultInjector* injector, RunMonitor* monitor,
                   std::uint32_t stall_unit_ns, YieldPolicy policy,
-                  std::uint32_t every_k, int m)
-      : MonitoredHwPlatform(memory, std::move(tosses), injector, monitor,
-                            stall_unit_ns),
+                  std::uint32_t every_k, int m, int num_threads)
+      : memory_(memory),
+        tosses_(std::move(tosses)),
+        injector_(injector),
+        monitor_(monitor),
+        stall_unit_ns_(stall_unit_ns),
         policy_(policy),
         every_k_(std::max<std::uint32_t>(1, every_k)),
+        carrier_waits_(num_threads < m),
         ops_since_yield_(static_cast<std::size_t>(m), 0),
         wake_ns_(static_cast<std::size_t>(m), 0) {}
 
+  bool synchronous() const override { return true; }
+
+  OpResult apply(ProcId p, const PendingOp& op) override {
+    monitor_->check_cancel(p);
+    OpResult result;
+    if (injector_ != nullptr) {
+      if (injector_->crash_pending(p)) {
+        injector_->note_crash(p);
+        RecoverySpec rspec;
+        if (injector_->recovery_spec(p, &rspec) && !rspec.amnesia) {
+          // Pause-and-resume recovery needs no frame teardown: consume
+          // the crash, serve the delay in place, and fall through to the
+          // op the process was about to take. Amnesiac recovery must
+          // unwind the coroutine, so it throws to the worker loop.
+          const std::uint32_t units = injector_->note_recovery(p);
+          recovery_wait(p, units);
+        } else {
+          throw CrashStopSignal{};
+        }
+      }
+      result = injector_->apply(
+          p, op, [&](const PendingOp& o) { return memory_->apply(p, o); },
+          [&](std::uint32_t units) { stall(p, units); });
+    } else {
+      result = memory_->apply(p, op);
+    }
+    monitor_->note_step(p);
+    return result;
+  }
+
+  std::uint64_t toss(ProcId p, std::uint64_t j) override {
+    monitor_->check_cancel(p);
+    monitor_->note_step(p);
+    return tosses_->outcome(p, j);
+  }
+
+  std::string name() const override { return "hw"; }
+
   bool yield_after_op(ProcId p, const PendingOp& op,
                       const OpResult& result) override {
+    if (!carrier_waits_) return false;
     switch (policy_) {
       case YieldPolicy::kEveryOp:
         return true;
@@ -79,9 +133,38 @@ class OversubPlatform final : public MonitoredHwPlatform {
     return wake == 0 ? 0 : std::exchange(wake, 0);
   }
 
+  // Serve p's recovery delay: like stall(), but each unit also ticks the
+  // monitor's recovery_waits so the watchdog sees the wait as progress.
+  // The worker loop serves the delay for the amnesiac (thrown) path before
+  // respawning the coroutine. A cancel during the wait still throws
+  // CancelledSignal — a watchdog-cancelled recovery reads as kHung, not as
+  // a clean restart.
+  void recovery_wait(ProcId p, std::uint32_t units) {
+    for (std::uint32_t u = 0; u < units; ++u) {
+      monitor_->check_cancel(p);
+      monitor_->note_recovery_wait(p);
+      std::this_thread::sleep_for(std::chrono::nanoseconds(stall_unit_ns_));
+    }
+  }
+
  private:
+  // Injected delay: sleep unit by unit with a cancellation checkpoint per
+  // unit, so a stalled worker still honours the watchdog promptly.
+  void stall(ProcId p, std::uint32_t units) {
+    for (std::uint32_t u = 0; u < units; ++u) {
+      monitor_->check_cancel(p);
+      std::this_thread::sleep_for(std::chrono::nanoseconds(stall_unit_ns_));
+    }
+  }
+
+  HwMemory* memory_;
+  std::shared_ptr<const TossAssignment> tosses_;
+  FaultInjector* injector_;
+  RunMonitor* monitor_;
+  std::uint32_t stall_unit_ns_;
   YieldPolicy policy_;
   std::uint32_t every_k_;
+  bool carrier_waits_;  // N < M: some runnable process lacks a carrier
   std::vector<std::uint32_t> ops_since_yield_;
   std::vector<std::uint64_t> wake_ns_;
 };
@@ -260,7 +343,7 @@ HwRunResult OversubscribedExecutor::run(int m, const ProcBody& body) {
   OversubPlatform platform(
       &memory, tosses, injector ? &*injector : nullptr, &monitor,
       inject ? options_.fault->stall_unit_ns : 0, options_.yield_policy,
-      options_.yield_every_k, m);
+      options_.yield_every_k, m, num_threads);
 
   std::vector<std::unique_ptr<Process>> procs;
   procs.reserve(static_cast<std::size_t>(m));
@@ -409,9 +492,11 @@ HwRunResult OversubscribedExecutor::run(int m, const ProcBody& body) {
     sched_stats.idle_park_skips += b.park_skips;
   };
 
-  // Same start-gate pattern as HwExecutor: workers check in on `ready`
-  // and hold on `gate` so the wall clock starts with the pool poised, and
-  // a partial spawn failure can abort (-1) and join instead of wedging.
+  // Start gate: workers check in on `ready` and hold on `gate` so the
+  // wall clock starts when every carrier is poised at its first
+  // instruction rather than at spawn time. The gate has an abort value
+  // (-1): if spawning carrier w fails, carriers 0..w-1 are released and
+  // joined instead of wedging.
   std::atomic<int> ready{0};
   std::atomic<int> gate{0};  // 0 = hold, 1 = run, -1 = abort
   std::vector<std::thread> threads;
@@ -441,6 +526,9 @@ HwRunResult OversubscribedExecutor::run(int m, const ProcBody& body) {
        seen = ready.load(std::memory_order_acquire)) {
     ready.wait(seen, std::memory_order_acquire);
   }
+  // The clock starts just before the release (not after the join: on a
+  // single-core host the OS may run a worker to completion before this
+  // thread is rescheduled, which would shrink the measured window).
   const Clock::time_point t0 = Clock::now();
   gate.store(1, std::memory_order_release);
   gate.notify_all();
@@ -495,6 +583,8 @@ HwRunResult OversubscribedExecutor::run(int m, const ProcBody& body) {
                    : (out.hung_procs > 0 ? RunStatus::kHung
                                          : RunStatus::kClean);
   out.ok = out.status == RunStatus::kClean;
+  // Without a fault plan or a watchdog firing, anything short of full
+  // completion is an executor bug.
   LLSC_CHECK(out.ok || inject || out.cancelled,
              "a process failed to run to completion on the pool");
   out.reclaim = memory.reclaim_stats();

@@ -1,14 +1,19 @@
 // OversubscribedExecutor — M logical processes on an N-thread pool.
 //
-// HwExecutor's 1 process = 1 OS thread model caps hw-substrate scenarios
-// at core count; the paper's Ω(log n) curve (and the follow-up bounds in
-// PAPERS.md) only separates from its competitors at n far beyond that.
-// This executor multiplexes M coroutine processes onto N carrier threads
-// by reusing the runtime's awaitable suspension points as yield points:
+// This is the one real-thread run loop: HwExecutor::run is this run with
+// N = n, and an oversubscribed run (M > N) lifts hw-substrate scenarios
+// past the core count, where the paper's Ω(log n) curve (and the
+// follow-up bounds in PAPERS.md) separates from its competitors. The
+// executor multiplexes M coroutine processes onto N carrier threads by
+// reusing the runtime's awaitable suspension points as yield points:
 // each co_awaited shared-memory op still executes inline against
 // HwMemory (the platform stays synchronous), but afterwards — under the
-// configured YieldPolicy — the coroutine parks its handle on a per-worker
-// run-queue shard instead of monopolizing the thread. Workers pop their
+// configured YieldPolicy, and only while N < M — the coroutine parks its
+// handle on a per-worker run-queue shard instead of monopolizing the
+// thread. With N = M (after the min(N, M) clamp) every process has a
+// carrier of its own, no runnable process waits for one, and the policy
+// is not consulted: bodies run on their carriers until they finish or
+// take an explicit ctx.yield() / ctx.yield_until(). Workers pop their
 // own shard FIFO, steal from siblings when dry, and fall back to the
 // adaptive+parking Backoff (hw/backoff.h) on the executor's idle
 // ParkSpot when the whole pool runs dry — the same fixed
@@ -26,8 +31,8 @@
 // no sleepers are left. A plain ctx.yield() still goes straight back on
 // the FIFO.
 //
-// Determinism contract (what makes the oversubscribed leg of
-// hw_fault_diff_test replay bit-for-bit):
+// Determinism contract (what makes hw_fault_diff_test replay bit-for-bit
+// on every pool shape):
 //   * tosses — SeededTossAssignment outcomes are pure in (seed, p, j) and
 //     each Process carries its own toss counter, so a coroutine observes
 //     the identical toss stream no matter which carrier thread resumes
@@ -54,6 +59,7 @@
 namespace llsc {
 
 // When does a coroutine give its carrier thread back to the scheduler?
+// Consulted only while the pool has fewer carriers than processes.
 enum class YieldPolicy : int {
   // After every shared-memory op: maximal interleaving, the scheduler
   // round-robins runnable processes at op granularity. The default, and
@@ -84,8 +90,8 @@ class OversubscribedExecutor {
 
   // Runs body(ctx, i, m) for i in [0, m) — M logical processes scheduled
   // over the option's N carrier threads against a fresh HwMemory with M
-  // per-process contexts. Returns the same result shape as
-  // HwExecutor::run (n = m), plus populated HwSchedStats. Exceptions
+  // per-process contexts. Returns the result with n = m and populated
+  // HwSchedStats. Exceptions
   // thrown by a body are re-thrown on the calling thread after the pool
   // joins. ctx.yield() and ctx.yield_until() suspend here (and only
   // here).

@@ -7,9 +7,10 @@
 //     are *deferred*; a suspended process exposes its pending step and a
 //     scheduler (possibly the Fig. 2 adversary) decides when it executes
 //     against the paper-faithful SharedMemory;
-//   * the hardware backend (hw/hw_executor.h) — steps are *synchronous*;
-//     each process runs on its own OS thread and every LL/SC/VL/swap/move
-//     completes inline against the lock-free HwMemory emulation.
+//   * the hardware backend (hw/hw_executor.h, hw/oversub_executor.h) —
+//     steps are *synchronous*; processes run on a pool of carrier threads
+//     and every LL/SC/VL/swap/move completes inline against the lock-free
+//     HwMemory emulation.
 //
 // Platform is the seam between them. The coroutine awaitables in
 // runtime/process.h route every step through Process::submit_op /
@@ -51,8 +52,8 @@ class Platform {
   virtual bool synchronous() const = 0;
 
   // Executes one shared-memory step on behalf of process p. On a
-  // synchronous platform this is called from p's own thread at the moment
-  // the algorithm issues the operation; on a deferred platform, from the
+  // synchronous platform this is called from the thread carrying p at the
+  // moment the algorithm issues the operation; on a deferred platform, from the
   // scheduler when it decides p's pending step happens.
   virtual OpResult apply(ProcId p, const PendingOp& op) = 0;
 
@@ -62,16 +63,16 @@ class Platform {
 
   // --- cooperative-scheduling hooks (hw/oversub_executor.h) ---
   //
-  // Only meaningful on synchronous platforms that multiplex M logical
-  // processes onto fewer carrier threads. After apply() ran p's op inline,
-  // yield_after_op asks whether the coroutine should give up its carrier
-  // thread (the op's result is already latched; the scheduler resumes the
-  // coroutine later and the awaitable reads it then). yield_now is the
-  // same question for an explicit ctx.yield() point; not_before_ns is the
-  // steady-clock time before which a ctx.yield_until() caller must not be
-  // resumed (0 for a plain yield). Both default to false: 1:1 platforms
-  // and the simulator never suspend here, so algorithm code with yield
-  // points runs unchanged everywhere.
+  // Only meaningful on synchronous platforms that run processes on a pool
+  // of carrier threads. After apply() ran p's op inline, yield_after_op
+  // asks whether the coroutine should give up its carrier thread (the
+  // op's result is already latched; the scheduler resumes the coroutine
+  // later and the awaitable reads it then). yield_now is the same question
+  // for an explicit ctx.yield() point; not_before_ns is the steady-clock
+  // time before which a ctx.yield_until() caller must not be resumed (0
+  // for a plain yield). Both default to false: the simulator never
+  // suspends here, so algorithm code with yield points runs unchanged
+  // everywhere.
   virtual bool yield_after_op(ProcId p, const PendingOp& op,
                               const OpResult& result) {
     (void)p;

@@ -24,9 +24,9 @@
 //
 // Slots. A slot is one unit of protection + one retired list. The storage
 // layer resolves the invoking ProcId to a slot via slot_of(p): by default
-// slot == ProcId (the 1:1 executor's thread contract), but an executor
-// multiplexing M processes onto N carrier threads may bind each carrier to
-// a dedicated slot (CarrierBinding) when the policy wants it
+// slot == ProcId (one slot per logical process), but the executor, which
+// runs M processes on N carrier threads, binds each carrier to a
+// dedicated slot (CarrierBinding) when the policy wants it
 // (carrier_slots()) — hazard words then scale with real threads, not
 // logical processes. This is sound because no protection spans a yield:
 // every storage operation brackets its protections inside one Guard, and

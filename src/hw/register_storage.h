@@ -92,8 +92,8 @@ struct HwBackoffStats {
 class RegisterStorage {
  public:
   // `reclaim_slots` sizes the Reclaimer's slot table; 0 means one slot per
-  // thread/process (the 1:1 layout). Oversubscribed executors pass their
-  // carrier count when the policy binds slots to carriers (hw/reclaim.h).
+  // thread/process. The executor passes its carrier count when the policy
+  // binds slots to carriers (hw/reclaim.h).
   RegisterStorage(std::size_t num_registers, int num_threads,
                   const BackoffOptions& backoff,
                   ReclaimPolicy reclaim = default_reclaim_policy(),

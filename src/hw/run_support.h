@@ -1,11 +1,7 @@
-// Shared run plumbing for the real-thread executors.
-//
-// HwExecutor (1 logical process = 1 OS thread) and OversubscribedExecutor
-// (M logical processes on N carrier threads) share everything below: the
-// file-local-style signals that unwind a worker's coroutine stack, the
-// per-logical-process progress monitor the watchdog reads, the Platform
-// wrapper that adds cancellation checkpoints + fault injection in front
-// of HwMemory, and the watchdog thread itself.
+// Run plumbing for the real-thread run loop (hw/oversub_executor.h),
+// which both HwExecutor and OversubscribedExecutor runs go through: the
+// signals that unwind a worker's coroutine stack, the per-logical-process
+// progress monitor the watchdog reads, and the watchdog thread itself.
 //
 // The monitor tracks progress per LOGICAL PROCESS (indexed by ProcId),
 // not per carrier thread — under oversubscription a correctly parked
@@ -13,11 +9,11 @@
 // runnable-but-unscheduled processes as a wedged run. The watchdog's
 // stagnation window scales by ⌈M/N⌉ for the same reason: one logical
 // process legitimately waits ~M/N scheduling quanta between its own
-// steps, so a window tuned for 1:1 fires spuriously at 16:1. (Callers
-// still apply LLSC_TIMEOUT_SCALE via scale_timeout_ms when arming tight
-// windows; the two factors compose.)
+// steps, so a window tuned for one carrier per process fires spuriously
+// at 16:1. (Callers still apply LLSC_TIMEOUT_SCALE via scale_timeout_ms
+// when arming tight windows; the two factors compose.)
 //
-// Everything here is an implementation detail of the executors — tests
+// Everything here is an implementation detail of the executor — tests
 // and benches should not include this header.
 #ifndef LLSC_HW_RUN_SUPPORT_H_
 #define LLSC_HW_RUN_SUPPORT_H_
@@ -27,17 +23,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
-#include "hw/fault.h"
-#include "hw/hw_memory.h"
-#include "hw/platform.h"
-#include "runtime/toss.h"
+#include "memory/op.h"
 
 namespace llsc {
 namespace hw_internal {
@@ -93,10 +83,10 @@ struct RunMonitor {
     progress[static_cast<std::size_t>(p)].steps.fetch_add(
         1, std::memory_order_relaxed);
   }
-  // A scheduling edge (resume / cooperative yield in the oversubscribed
-  // executor) counts as progress too: an open-loop service body waiting
-  // for its arrival time yields in a loop without taking shared steps,
-  // and must not read as stagnant while the scheduler is cycling it.
+  // A scheduling edge (resume / cooperative yield on the pool) counts as
+  // progress too: an open-loop service body waiting for its arrival time
+  // yields in a loop without taking shared steps, and must not read as
+  // stagnant while the scheduler is cycling it.
   void note_sched(ProcId p) { note_step(p); }
   // A crash-recovery restart of p (new incarnation about to run).
   void note_restart(ProcId p) {
@@ -118,100 +108,6 @@ struct RunMonitor {
   std::vector<WorkerProgress> progress;
 };
 
-// HwPlatform plus the robustness hooks: a cancellation checkpoint and a
-// progress tick on every shared-memory op and toss, and (when a plan is
-// installed) the fault injector in front of the memory. Worker bodies
-// therefore observe watchdog cancellation and crash-stops as exceptions
-// at step boundaries — a body that loops without ever taking a step
-// cannot be cancelled (nothing can preempt a native thread), which is
-// why tests keep a ctest-level timeout as backstop.
-//
-// Non-final: OversubscribedExecutor derives to implement the Platform
-// yield hooks over the same apply/toss plumbing.
-class MonitoredHwPlatform : public Platform {
- public:
-  MonitoredHwPlatform(HwMemory* memory,
-                      std::shared_ptr<const TossAssignment> tosses,
-                      FaultInjector* injector, RunMonitor* monitor,
-                      std::uint32_t stall_unit_ns)
-      : memory_(memory),
-        tosses_(std::move(tosses)),
-        injector_(injector),
-        monitor_(monitor),
-        stall_unit_ns_(stall_unit_ns) {}
-
-  bool synchronous() const override { return true; }
-
-  OpResult apply(ProcId p, const PendingOp& op) override {
-    monitor_->check_cancel(p);
-    OpResult result;
-    if (injector_ != nullptr) {
-      if (injector_->crash_pending(p)) {
-        injector_->note_crash(p);
-        RecoverySpec rspec;
-        if (injector_->recovery_spec(p, &rspec) && !rspec.amnesia) {
-          // Pause-and-resume recovery needs no frame teardown: consume
-          // the crash, serve the delay in place, and fall through to the
-          // op the process was about to take. Amnesiac recovery must
-          // unwind the coroutine, so it throws to the worker loop.
-          const std::uint32_t units = injector_->note_recovery(p);
-          recovery_wait(p, units);
-        } else {
-          throw CrashStopSignal{};
-        }
-      }
-      result = injector_->apply(
-          p, op, [&](const PendingOp& o) { return memory_->apply(p, o); },
-          [&](std::uint32_t units) { stall(p, units); });
-    } else {
-      result = memory_->apply(p, op);
-    }
-    monitor_->note_step(p);
-    return result;
-  }
-
-  std::uint64_t toss(ProcId p, std::uint64_t j) override {
-    monitor_->check_cancel(p);
-    monitor_->note_step(p);
-    return tosses_->outcome(p, j);
-  }
-
-  std::string name() const override { return "hw"; }
-
-  // Serve p's recovery delay: like stall(), but each unit also ticks the
-  // monitor's recovery_waits so the watchdog sees the wait as progress.
-  // Public because the executors' worker loops serve the delay for the
-  // amnesiac (thrown) path before respawning the coroutine. A cancel
-  // during the wait still throws CancelledSignal — a watchdog-cancelled
-  // recovery reads as kHung, not as a clean restart.
-  void recovery_wait(ProcId p, std::uint32_t units) {
-    for (std::uint32_t u = 0; u < units; ++u) {
-      monitor_->check_cancel(p);
-      monitor_->note_recovery_wait(p);
-      std::this_thread::sleep_for(std::chrono::nanoseconds(stall_unit_ns_));
-    }
-  }
-
- protected:
-  RunMonitor* monitor() const { return monitor_; }
-
- private:
-  // Injected delay: sleep unit by unit with a cancellation checkpoint per
-  // unit, so a stalled worker still honours the watchdog promptly.
-  void stall(ProcId p, std::uint32_t units) {
-    for (std::uint32_t u = 0; u < units; ++u) {
-      monitor_->check_cancel(p);
-      std::this_thread::sleep_for(std::chrono::nanoseconds(stall_unit_ns_));
-    }
-  }
-
-  HwMemory* memory_;
-  std::shared_ptr<const TossAssignment> tosses_;
-  FaultInjector* injector_;
-  RunMonitor* monitor_;
-  std::uint32_t stall_unit_ns_;
-};
-
 // Watchdog armed over one run: polls the wall-clock deadline and the
 // per-process progress counters, and flips the monitor's cancel flag when
 // the run is out of budget or wedged. Construct after the start gate
@@ -223,8 +119,8 @@ class Watchdog {
     std::uint64_t deadline_ms = 0;          // 0 = no deadline
     std::uint64_t progress_timeout_ms = 0;  // 0 = no stagnation check
     std::uint64_t poll_ms = 5;
-    // ⌈M/N⌉ — logical processes per carrier thread, 1 for the 1:1
-    // executor. Multiplies progress_timeout_ms, NOT deadline_ms: the
+    // ⌈M/N⌉ — logical processes per carrier thread, 1 when every
+    // process has its own carrier. Multiplies progress_timeout_ms, NOT deadline_ms: the
     // run-wide wall budget is a caller promise independent of how the
     // work is scheduled.
     std::uint64_t oversub_factor = 1;

@@ -55,7 +55,7 @@ std::vector<std::uint64_t> arrival_schedule(std::uint64_t seed, ProcId p,
 // perform the workload's operation, record completion − scheduled
 // arrival. The wait is a timed yield: on the pool the client sleeps off
 // the run queue until it is due; the loop re-checks the clock because
-// yield_until never suspends on a 1:1 platform. A free function taking
+// yield_until never suspends on the simulator. A free function taking
 // pointers, per the GCC 12 coroutine notes in runtime/sim_task.h; the
 // co_await sits in the loop BODY, never in a condition (see
 // Process::resume()).

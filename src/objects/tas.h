@@ -23,7 +23,7 @@
 //     incarnation of the winner re-reads claim == self and returns 1
 //     again instead of electing a second winner.
 //
-// Both bodies run unchanged on the simulator, the 1:1 HwExecutor, and the
+// Both bodies run unchanged on the simulator, the HwExecutor, and the
 // OversubscribedExecutor — they are written against the ProcCtx awaitable
 // seam like every wakeup algorithm.
 //

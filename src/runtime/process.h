@@ -40,10 +40,10 @@ enum class StepKind : std::uint8_t {
   kToss,
   kOp,
   kDone,
-  // Suspended at a cooperative yield point on an oversubscribed
-  // synchronous platform (hw/oversub_executor.h): the last op's result is
-  // already latched in the process block and resume_yielded() continues
-  // the body. Never observed on the simulator or a 1:1 hw run.
+  // Suspended at a cooperative yield point on the hw carrier pool
+  // (hw/oversub_executor.h): the last op's result is already latched in
+  // the process block and resume_yielded() continues the body. Never
+  // observed on the simulator.
   kYielded,
 };
 
@@ -115,17 +115,17 @@ class ProcCtx {
   internal::TossAwaitable toss(std::uint64_t range) const;
 
   // Cooperative yield point — NOT a step of the paper's model (no shared
-  // op, no toss, no counter changes). On an oversubscribed platform the
-  // coroutine gives its carrier thread back to the scheduler; everywhere
-  // else (simulator, 1:1 hw) it is a no-op that never suspends. Lets
+  // op, no toss, no counter changes). On the hw carrier pool the
+  // coroutine gives its carrier thread back to the scheduler; on the
+  // simulator it is a no-op that never suspends. Lets
   // open-loop service bodies wait for an arrival time without pinning a
   // thread (hw/service.h).
   internal::YieldAwaitable yield() const;
   // Timed cooperative yield: like yield(), but the coroutine is not resumed
   // before `steady_ns` (std::chrono::steady_clock nanoseconds since its
-  // epoch). On an oversubscribed platform the process leaves the run queue
-  // until then instead of being cycled; everywhere else it is the same
-  // no-op as yield(), so a caller waiting for a time keeps its
+  // epoch). On the hw carrier pool the process leaves the run queue until
+  // then instead of being cycled; on the simulator it is the same no-op
+  // as yield(), so a caller waiting for a time keeps its
   // `while (now < due)` re-check loop.
   internal::YieldAwaitable yield_until(std::uint64_t steady_ns) const;
 

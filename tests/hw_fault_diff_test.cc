@@ -123,7 +123,8 @@ Observed observe_hw(const ProcBody& body, int n, std::uint64_t toss_seed,
 // two-thread pool (n = 2..7, so every triple is genuinely multiplexed).
 // Fault decisions pure in (proc, op-index) — and trace replays keyed the
 // same way — must be invisible to HOW the processes are scheduled, so
-// the observable contract must match the 1:1 substrates bit-for-bit.
+// the observable contract must match the simulator and HwExecutor (one
+// carrier per process) bit-for-bit.
 Observed observe_oversub(const ProcBody& body, int n,
                          std::uint64_t toss_seed, const FaultPlan& plan,
                          StoragePolicy storage) {

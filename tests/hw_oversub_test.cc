@@ -1,8 +1,9 @@
 // OversubscribedExecutor: M logical coroutine processes on an N-thread
 // pool. Covers the determinism contract (toss streams are migration-
-// safe, so an oversubscribed run reproduces the 1:1 executor's results
-// bit-for-bit), operation exactness under every yield policy, the
-// watchdog's ⌈M/N⌉-scaled stagnation window (the false-hung regression),
+// safe, so an oversubscribed run reproduces the simulator's and
+// HwExecutor's results bit-for-bit), the N = M shape taking no op-policy
+// yields, operation exactness under every yield policy, the watchdog's
+// ⌈M/N⌉-scaled stagnation window (the false-hung regression),
 // ctx.yield_until's deadline heap (no early resume; same results on every
 // substrate), and a TSan-facing stress leg with adaptive fault injection.
 #include "hw/oversub_executor.h"
@@ -41,8 +42,8 @@ OversubRunOptions pool(int num_threads, std::uint64_t seed,
 }
 
 // Each process folds five bounded tosses into a value — a pure function
-// of the toss assignment, so it must agree between the 1:1 executor and
-// every oversubscribed pool shape, whatever carrier threads the
+// of the toss assignment, so it must agree between the simulator,
+// HwExecutor and every oversubscribed pool shape, whatever carrier threads the
 // coroutine migrates across.
 SimTask toss_sum_body(ProcCtx ctx) {
   std::uint64_t sum = 0;
@@ -102,7 +103,7 @@ SimTask early_wake_body(ProcCtx ctx) {
 
 // Tosses, LL/SC on the process's own register, and a toss-sized timed
 // wait per round: the result is a pure function of the toss assignment,
-// whether yield_until suspends (pool) or is a no-op (simulator, 1:1).
+// whether yield_until suspends (pool) or is a no-op (simulator).
 SimTask timed_toss_body(ProcCtx ctx) {
   const RegId own = static_cast<RegId>(ctx.id());
   std::uint64_t sum = 0;
@@ -154,52 +155,97 @@ TEST(HwOversubTest, CounterIsExactUnderEveryYieldPolicy) {
 }
 
 TEST(HwOversubTest, EveryOpPolicyYieldsOncePerSharedOp) {
-  // One process, one carrier: with kEveryOp each of the `ops` RMWs
-  // suspends the coroutine exactly once, so the scheduler counters are
+  // Two processes, one carrier: with kEveryOp each of the 2·ops RMWs
+  // suspends its coroutine exactly once, so the scheduler counters are
   // fully deterministic.
+  const int m = 2;
   const int ops = 8;
+  const std::uint64_t total = static_cast<std::uint64_t>(m) * ops;
   auto inc = fetch_add1();
   const ProcBody body = [&](ProcCtx ctx, ProcId, int) {
     return counter_body(ctx, inc, ops);
   };
   OversubscribedExecutor exec(pool(1, 1, YieldPolicy::kEveryOp));
-  const HwRunResult run = exec.run(1, body);
+  const HwRunResult run = exec.run(m, body);
   ASSERT_TRUE(run.ok);
-  EXPECT_EQ(run.sched.yields, static_cast<std::uint64_t>(ops));
-  EXPECT_EQ(run.sched.resumes, static_cast<std::uint64_t>(ops) + 1);
+  EXPECT_EQ(result_sum(run), total * (total - 1) / 2);
+  EXPECT_EQ(run.sched.yields, total);
+  EXPECT_EQ(run.sched.resumes, total + m);
   EXPECT_EQ(run.sched.steals, 0u);
 }
 
 TEST(HwOversubTest, OnScFailurePolicyNeverYieldsWithoutContention) {
-  // A single process never loses an SC, so the polite-loser policy keeps
-  // its carrier thread for the whole body: zero yields, one resume.
+  // Two processes on one carrier: the first runs its whole body before
+  // the second starts, so no SC is ever lost and the polite-loser policy
+  // keeps the carrier with the running process: zero yields, one resume
+  // per process.
+  const int m = 2;
   const ProcBody body = [](ProcCtx ctx, ProcId, int) {
     return llsc_wins_body(ctx);
   };
   OversubscribedExecutor exec(pool(1, 1, YieldPolicy::kOnScFailure));
-  const HwRunResult run = exec.run(1, body);
+  const HwRunResult run = exec.run(m, body);
   ASSERT_TRUE(run.ok);
-  ASSERT_TRUE(run.results[0].holds_u64());
-  EXPECT_EQ(run.results[0].as_u64(), 6u);
+  for (ProcId p = 0; p < m; ++p) {
+    const Value& wins = run.results[static_cast<std::size_t>(p)];
+    ASSERT_TRUE(wins.holds_u64()) << "p=" << p;
+    EXPECT_EQ(wins.as_u64(), 6u) << "p=" << p;
+  }
   EXPECT_EQ(run.sched.yields, 0u);
-  EXPECT_EQ(run.sched.resumes, 1u);
+  EXPECT_EQ(run.sched.resumes, static_cast<std::uint64_t>(m));
+}
+
+TEST(HwOversubTest, OneCarrierPerProcessTakesNoOpPolicyYields) {
+  // N = M: no runnable process ever waits for a carrier, so even kEveryOp
+  // never hands one back. Each process is started once and runs to
+  // completion on a single carrier. HwExecutor runs are exactly this
+  // shape, with N = M = n.
+  const int m = 4;
+  const int ops = 64;
+  const std::uint64_t total = static_cast<std::uint64_t>(m) * ops;
+  auto inc = fetch_add1();
+  const ProcBody body = [&](ProcCtx ctx, ProcId, int) {
+    return counter_body(ctx, inc, ops);
+  };
+  OversubscribedExecutor pooled(pool(m, 1, YieldPolicy::kEveryOp));
+  HwExecutor one_per_proc;
+  for (const HwRunResult& run :
+       {pooled.run(m, body), one_per_proc.run(m, body)}) {
+    ASSERT_TRUE(run.ok);
+    EXPECT_EQ(result_sum(run), total * (total - 1) / 2);
+    EXPECT_EQ(run.sched.num_threads, m);
+    EXPECT_EQ(run.sched.num_procs, m);
+    EXPECT_EQ(run.sched.yields, 0u);
+    EXPECT_EQ(run.sched.resumes, static_cast<std::uint64_t>(m));
+  }
 }
 
 TEST(HwOversubTest, TossStreamsAreMigrationSafe) {
   // Toss outcomes are pure in (seed, p, j) and each Process carries its
   // own toss counter, so the per-process results must be identical on the
-  // 1:1 executor and on every pool shape — and across repeated
-  // oversubscribed runs, whatever interleaving the OS picks.
+  // simulator, on HwExecutor (one carrier per process) and on every pool
+  // shape — and across repeated oversubscribed runs, whatever
+  // interleaving the OS picks.
   const int m = 16;
   const ProcBody body = [](ProcCtx ctx, ProcId, int) {
     return toss_sum_body(ctx);
   };
   for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull, 5ull}) {
+    System sys(m, body, std::make_shared<SeededTossAssignment>(seed));
+    RoundRobinScheduler sched;
+    ASSERT_TRUE(sched.run(sys, 1 << 20).all_terminated);
     HwRunOptions one_to_one;
     one_to_one.seed = seed;
     HwExecutor baseline(one_to_one);
     const HwRunResult ref = baseline.run(m, body);
     ASSERT_TRUE(ref.ok);
+    for (ProcId p = 0; p < m; ++p) {
+      const std::size_t s = static_cast<std::size_t>(p);
+      EXPECT_EQ(ref.results[s], sys.process(p).result())
+          << "seed=" << seed << " p=" << p;
+      EXPECT_EQ(ref.num_tosses[s], sys.process(p).num_tosses());
+      EXPECT_EQ(ref.shared_ops[s], sys.process(p).shared_ops());
+    }
     for (const int num_threads : {1, 2, 4}) {
       OversubscribedExecutor exec(pool(num_threads, seed));
       const HwRunResult run = exec.run(m, body);
@@ -240,8 +286,8 @@ TEST(HwOversubTest, YieldUntilNeverResumesBeforeWakeTime) {
 }
 
 TEST(HwOversubTest, YieldUntilResultsMatchAcrossSubstrates) {
-  // The timed yield is not a step of the model: the simulator, the 1:1
-  // executor and every pool shape must agree on results, toss counts and
+  // The timed yield is not a step of the model: the simulator, HwExecutor
+  // and every pool shape must agree on results, toss counts and
   // shared-op counts, bit for bit.
   const int m = 16;
   const ProcBody body = [](ProcCtx ctx, ProcId, int) {

@@ -4,7 +4,8 @@
 // exactly-one-winner spec is asserted UNCONDITIONALLY across every axis
 // this file sweeps: n in 1..17, deterministic/random/adversary schedules,
 // both register-storage policies, many toss seeds, and all three
-// substrates (simulator, 1:1 HwExecutor, oversubscribed two-thread pool).
+// substrates (simulator, HwExecutor with one carrier per process,
+// oversubscribed two-thread pool).
 // The fixed-shape variant additionally pins its schedule-independent
 // per-process op count to fixed_shape_tas_ops(n).
 //

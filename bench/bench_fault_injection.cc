@@ -34,6 +34,7 @@
 #include "hw/fault.h"
 #include "hw/hw_executor.h"
 #include "hw/mc_driver.h"
+#include "hw/oversub_executor.h"
 #include "memory/value.h"
 #include "util/check.h"
 #include "wakeup/algorithms.h"
@@ -184,8 +185,14 @@ BENCHMARK(BM_E12_Wakeup_CrashStorm)
 // on one victim costs that victim ~B extra LL+SC pairs, while spraying B
 // failures costs the worst process only ~B/n — so at equal budget the
 // adaptive row must sit strictly above the oblivious one, which
-// BM_E13_AdaptiveVsOblivious_Gain asserts (single-core hosts included:
-// the effect needs no parallelism, only placement).
+// BM_E13_AdaptiveVsOblivious_Gain asserts.
+//
+// The n processes run on ONE carrier thread that switches process only
+// after a failed SC. No LL;SC window then spans another process's op, so
+// every failed SC is an injected one and amp is a pure function of
+// (seed, plan) — on any host, loaded or pinned. On n parallel carriers,
+// contention retries (which depend on the OS schedule) swamp the
+// placement effect the row measures.
 
 struct E13Run {
   double amp = 0.0;             // max_p shared_ops(p) / (2 * ops)
@@ -194,9 +201,11 @@ struct E13Run {
 };
 
 E13Run run_e13(int n, int ops, const FaultPlan& plan) {
-  HwRunOptions options;
+  OversubRunOptions options;
   options.fault = &plan;
-  HwExecutor exec(options);
+  options.num_threads = 1;
+  options.yield_policy = YieldPolicy::kOnScFailure;
+  OversubscribedExecutor exec(options);
   const HwRunResult r = exec.run(n, retry_increment_body(ops));
   LLSC_CHECK(r.status == RunStatus::kClean,
              "the E13 retry loop must complete under any placement");
@@ -223,9 +232,8 @@ FaultPlan e13_plan(FaultStrategyKind strategy, std::uint64_t budget) {
       // enough that the expected hit count (~0.2/0.8 * 256 per process)
       // comfortably exhausts the cap, low enough that the cap is spent
       // across the whole run. A near-1.0 rate would front-load the whole
-      // budget onto whichever thread the OS schedules first (on a
-      // single-core host the startup is fully serialized), accidentally
-      // reproducing the adaptive adversary's concentration.
+      // budget onto whichever process the carrier runs first,
+      // accidentally reproducing the adaptive adversary's concentration.
       plan.sc_fail_rate = 0.2;
       break;
     case FaultStrategyKind::kBurst:

@@ -1,53 +1,22 @@
 #include "core/adversary.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "core/snapshot.h"
 #include "util/check.h"
-#include "util/rng.h"
 
 namespace llsc {
-
-std::size_t combine_op_into_history(std::size_t h, const OpRecord& rec) {
-  h = mix64(h ^ static_cast<std::size_t>(rec.op.kind));
-  h = mix64(h ^ rec.op.reg);
-  h = mix64(h ^ rec.op.src);
-  h = mix64(h ^ rec.op.arg.hash());
-  h = mix64(h ^ (rec.result.flag ? 0x51u : 0xA3u));
-  h = mix64(h ^ rec.result.value.hash());
-  return h;
-}
-
-RoundSnapshot take_snapshot(const System& sys,
-                            const std::vector<std::size_t>& history_hashes) {
-  RoundSnapshot snap;
-  const int n = sys.num_processes();
-  snap.procs.resize(static_cast<std::size_t>(n));
-  for (ProcId p = 0; p < n; ++p) {
-    const Process& proc = sys.process(p);
-    ProcSnapshot& ps = snap.procs[static_cast<std::size_t>(p)];
-    ps.num_tosses = proc.num_tosses();
-    ps.shared_ops = proc.shared_ops();
-    ps.history_hash = history_hashes[static_cast<std::size_t>(p)];
-    ps.done = proc.done();
-    if (ps.done) ps.result = proc.result();
-  }
-  for (const RegId r : sys.memory().touched_registers()) {
-    RegSnapshot rs;
-    rs.value = sys.memory().peek_value(r);
-    const auto& pset = sys.memory().peek_pset(r);
-    rs.pset.assign(pset.begin(), pset.end());
-    snap.regs.emplace(r, std::move(rs));
-  }
-  return snap;
-}
 
 RunLog run_adversary(System& sys, const AdversaryOptions& options) {
   const int n = sys.num_processes();
   RunLog log;
   log.n = n;
-  std::vector<std::size_t> hist(static_cast<std::size_t>(n), 0);
-  if (options.record_snapshots) log.initial = take_snapshot(sys, hist);
+  std::optional<SnapshotRecorder> snaps;
+  if (options.record_snapshots) {
+    snaps.emplace(sys);
+    log.initial = snaps->take();
+  }
 
   for (int round = 1; round <= options.max_rounds; ++round) {
     // all_halted, not all_done: with injected crash-stops (hw/fault.h)
@@ -65,7 +34,11 @@ RunLog run_adversary(System& sys, const AdversaryOptions& options) {
     // is also where the hw workers respawn it.
     for (ProcId p = 0; p < n; ++p) {
       Process& proc = sys.process(p);
-      if (proc.crashed() && !sys.maybe_recover(p)) continue;
+      if (proc.crashed()) {
+        if (!sys.maybe_recover(p)) continue;
+        // An amnesiac restart drops p's links from every register.
+        if (snaps) snaps->rescan_all();
+      }
       if (proc.halted()) continue;
       const bool was_live = true;
       sys.advance_through_tosses(p);
@@ -95,11 +68,12 @@ RunLog run_adversary(System& sys, const AdversaryOptions& options) {
       }
     }
 
+    rec.ops.reserve(rec.g_load.size() + rec.g_move.size() +
+                    rec.g_swap.size() + rec.g_sc.size());
     const auto execute = [&](ProcId p) {
-      const OpRecord op = sys.execute_pending_op(p);
-      hist[static_cast<std::size_t>(p)] =
-          combine_op_into_history(hist[static_cast<std::size_t>(p)], op);
-      rec.ops.push_back(op);
+      OpRecord op = sys.execute_pending_op(p);
+      if (snaps) snaps->note(op);
+      rec.ops.push_back(std::move(op));
     };
 
     // Phase 2: loads, in id order.
@@ -122,9 +96,7 @@ RunLog run_adversary(System& sys, const AdversaryOptions& options) {
     for (const ProcId p : rec.g_sc) execute(p);
 
     log.rounds.push_back(std::move(rec));
-    if (options.record_snapshots) {
-      log.snapshots.push_back(take_snapshot(sys, hist));
-    }
+    if (snaps) log.snapshots.push_back(snaps->take());
   }
 
   log.all_terminated = sys.all_done();

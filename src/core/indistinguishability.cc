@@ -26,6 +26,7 @@ IndistReport check_indistinguishability(const RunLog& all_log,
   static const RegSnapshot kUntouched;
 
   IndistReport report;
+  UpCover cover(up, s);
   // covered[p] holds iff UP(p, r) ⊆ S for the round being checked.
   std::vector<char> covered(static_cast<std::size_t>(n));
   // Violations of registers only the (S,A)-run touched are reported after
@@ -39,7 +40,7 @@ IndistReport check_indistinguishability(const RunLog& all_log,
 
     // --- processes: (All,A)-run ≈_p^r (S,A)-run when UP(p, r) ⊆ S ---
     for (ProcId p = 0; p < n; ++p) {
-      const bool in_s = up.up_process(p, r).subset_of(s);
+      const bool in_s = cover.process(p, r);
       covered[static_cast<std::size_t>(p)] = in_s ? 1 : 0;
       if (!in_s) continue;
       ++report.process_checks;
@@ -60,11 +61,11 @@ IndistReport check_indistinguishability(const RunLog& all_log,
       }
     }
 
-    // --- registers: a merge-join of the two snapshots' (sorted) maps ---
+    // --- registers: a merge-join of the two snapshots' sorted arrays ---
     const auto check_register = [&](RegId reg, const RegSnapshot& a,
                                      const RegSnapshot& b,
                                      std::vector<std::string>& out) {
-      if (!up.up_register(reg, r).subset_of(s)) return;
+      if (!cover.reg(reg, r)) return;
       ++report.register_checks;
       if (!(a.value == b.value)) {
         out.push_back(round_tag + "val(R" + std::to_string(reg) +

@@ -18,10 +18,11 @@
 // S) and by the E7 bench.
 //
 // Cost: each round computes the covered processes (UP(p, r) ⊆ S) once,
-// merge-joins the two snapshots' register maps and merges each checked
-// register's two Psets, so round r costs O(n + |regs| + Σ|Pset|) steps.
-// A step is at most one UpTracker lookup plus one n/64-word subset test;
-// no register walks all n processes.
+// merge-joins the two snapshots' sorted register arrays and merges each
+// checked register's two Psets, so round r costs O(n + |regs| + Σ|Pset|)
+// steps. "⊆ S" is memoized per pooled UP set (UpCover), so a step is one
+// tracker lookup; each distinct set pays one n/64-word subset test over
+// the whole check. No register walks all n processes.
 #ifndef LLSC_CORE_INDISTINGUISHABILITY_H_
 #define LLSC_CORE_INDISTINGUISHABILITY_H_
 

@@ -6,11 +6,20 @@
 // about what happened in each round: the partition into operation groups,
 // the secretive schedule used for the move group, every executed operation
 // with its result, and end-of-round state snapshots.
+//
+// A round changes few registers, so a snapshot's registers are kept in
+// blocks that consecutive snapshots share (RegSnapshots): a snapshot costs
+// one pointer per block plus the blocks its round changed, not a node per
+// register. regs.find() looks a register up by binary search, and a
+// range-for walks them in ascending order, which the Lemma 5.2 merge-join
+// relies on.
 #ifndef LLSC_CORE_ROUND_RECORD_H_
 #define LLSC_CORE_ROUND_RECORD_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "memory/op.h"
@@ -62,10 +71,67 @@ struct RegSnapshot {
   std::vector<ProcId> pset;  // ascending
 };
 
+// The touched registers of one snapshot, ascending by id. Registers are
+// grouped into blocks by id / kBlockIds; each block is a sorted array
+// behind a shared pointer, so consecutive snapshots share every block no
+// op changed and copying a snapshot copies one pointer per block. Writes
+// (upsert, erase) copy a shared block first.
+class RegSnapshots {
+ public:
+  using Entry = std::pair<RegId, RegSnapshot>;
+  static constexpr RegId kBlockIds = 64;
+
+  class const_iterator {
+   public:
+    const_iterator() = default;
+    const Entry& operator*() const {
+      return (*owner_->blocks_[block_].entries)[entry_];
+    }
+    const Entry* operator->() const { return &**this; }
+    const_iterator& operator++();
+    bool operator==(const const_iterator& o) const {
+      return block_ == o.block_ && entry_ == o.entry_;
+    }
+
+   private:
+    friend class RegSnapshots;
+    const_iterator(const RegSnapshots* owner, std::size_t block)
+        : owner_(owner), block_(block) {}
+    const RegSnapshots* owner_ = nullptr;
+    std::size_t block_ = 0;
+    std::size_t entry_ = 0;
+  };
+
+  const_iterator begin() const { return {this, 0}; }
+  const_iterator end() const { return {this, blocks_.size()}; }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+  // The snapshot of register r, or nullptr if r is absent.
+  const RegSnapshot* find(RegId r) const;
+  // The snapshot of register r, inserted (nil, empty Pset) if absent.
+  RegSnapshot& upsert(RegId r);
+  // Removes register r; false if it was absent.
+  bool erase(RegId r);
+
+ private:
+  struct Block {
+    RegId key;  // id / kBlockIds of every entry
+    std::shared_ptr<std::vector<Entry>> entries;  // sorted, non-empty
+  };
+  // Index of the first block whose key is >= key.
+  std::size_t lower_block(RegId key) const;
+  // The block's entries, copied first if another snapshot shares them.
+  static std::vector<Entry>& own(Block& block);
+
+  std::vector<Block> blocks_;  // ascending by key
+  std::size_t size_ = 0;
+};
+
 // End-of-round snapshot of the whole configuration.
 struct RoundSnapshot {
-  std::vector<ProcSnapshot> procs;          // indexed by ProcId
-  std::map<RegId, RegSnapshot> regs;        // touched registers only
+  std::vector<ProcSnapshot> procs;  // indexed by ProcId
+  RegSnapshots regs;                // touched registers only
 };
 
 // A complete adversary-structured run: its rounds and per-round snapshots.

@@ -1,29 +1,12 @@
 #include "core/s_run.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <optional>
 
 #include "core/snapshot.h"
 #include "util/check.h"
 
 namespace llsc {
-
-namespace {
-
-// The operation group `p` belonged to in the All-run's round record, or -1
-// if p took no shared-memory step that round.
-int all_run_group(const RoundRecord& rec, ProcId p) {
-  const auto in = [p](const std::vector<ProcId>& v) {
-    return std::find(v.begin(), v.end(), p) != v.end();
-  };
-  if (in(rec.g_load)) return static_cast<int>(OpGroup::kLoad);
-  if (in(rec.g_move)) return static_cast<int>(OpGroup::kMove);
-  if (in(rec.g_swap)) return static_cast<int>(OpGroup::kSwap);
-  if (in(rec.g_sc)) return static_cast<int>(OpGroup::kStoreConditional);
-  return -1;
-}
-
-}  // namespace
 
 RunLog run_s_run(System& sys, const RunLog& all_log, const UpTracker& up,
                  const ProcSet& s, const SRunOptions& options) {
@@ -34,8 +17,24 @@ RunLog run_s_run(System& sys, const RunLog& all_log, const UpTracker& up,
 
   RunLog log;
   log.n = n;
-  std::vector<std::size_t> hist(static_cast<std::size_t>(n), 0);
-  if (options.record_snapshots) log.initial = take_snapshot(sys, hist);
+  std::optional<SnapshotRecorder> snaps;
+  if (options.record_snapshots) {
+    snaps.emplace(sys);
+    log.initial = snaps->take();
+  }
+
+  UpCover cover(up, s);
+  // S_r, ascending. UP(p, ·) only grows, so a process that leaves S_r
+  // never returns: each round only filters the previous round's members.
+  std::vector<ProcId> s_r;
+  for (ProcId p = 0; p < n; ++p) {
+    if (cover.process(p, 0)) s_r.push_back(p);
+  }
+  // The operation group of each process in the All-run's current round
+  // (kNone if it took no step); the S-run marks its movers in `moving`.
+  constexpr signed char kNone = -1;
+  std::vector<signed char> all_group(static_cast<std::size_t>(n), kNone);
+  std::vector<char> moving(static_cast<std::size_t>(n), 0);
 
   for (int round = 1; round <= all_log.num_rounds(); ++round) {
     const RoundRecord& all_rec =
@@ -44,10 +43,20 @@ RunLog run_s_run(System& sys, const RunLog& all_log, const UpTracker& up,
     rec.round = round;
 
     // S_r: processes whose knowledge entering round r stays within S.
-    std::vector<ProcId> s_r;
-    for (ProcId p = 0; p < n; ++p) {
-      if (up.up_process(p, round - 1).subset_of(s)) s_r.push_back(p);
+    if (round > 1) {
+      std::erase_if(s_r,
+                    [&](ProcId p) { return !cover.process(p, round - 1); });
     }
+    std::fill(all_group.begin(), all_group.end(), kNone);
+    const auto mark = [&](const std::vector<ProcId>& group, OpGroup g) {
+      for (const ProcId p : group) {
+        all_group[static_cast<std::size_t>(p)] = static_cast<signed char>(g);
+      }
+    };
+    mark(all_rec.g_load, OpGroup::kLoad);
+    mark(all_rec.g_move, OpGroup::kMove);
+    mark(all_rec.g_swap, OpGroup::kSwap);
+    mark(all_rec.g_sc, OpGroup::kStoreConditional);
 
     // Phase 1: tosses for S_r members, in id order.
     for (const ProcId p : s_r) {
@@ -65,8 +74,11 @@ RunLog run_s_run(System& sys, const RunLog& all_log, const UpTracker& up,
       const OpGroup group = op_group(proc.pending_op().kind);
       if (options.verify_claims) {
         // Claim A.2(3): a scheduled process performs the same kind of
-        // operation as in the (All,A)-run's round r.
-        LLSC_CHECK(all_run_group(all_rec, p) == static_cast<int>(group),
+        // operation as in the (All,A)-run's round r. For movers this is
+        // Claim A.3 too: S_{2,r} ⊆ G_{2,r}, so restricting sigma_r is
+        // well defined.
+        LLSC_CHECK(all_group[static_cast<std::size_t>(p)] ==
+                       static_cast<signed char>(group),
                    "Claim A.2 violated: operation group differs between "
                    "(All,A)-run and (S,A)-run");
       }
@@ -86,42 +98,35 @@ RunLog run_s_run(System& sys, const RunLog& all_log, const UpTracker& up,
       }
     }
 
+    rec.ops.reserve(rec.g_load.size() + rec.g_move.size() +
+                    rec.g_swap.size() + rec.g_sc.size());
     const auto execute = [&](ProcId p) {
-      const OpRecord op = sys.execute_pending_op(p);
-      hist[static_cast<std::size_t>(p)] =
-          combine_op_into_history(hist[static_cast<std::size_t>(p)], op);
-      rec.ops.push_back(op);
+      OpRecord op = sys.execute_pending_op(p);
+      if (snaps) snaps->note(op);
+      rec.ops.push_back(std::move(op));
     };
 
     // Phase 2: loads, id order.
     for (const ProcId p : rec.g_load) execute(p);
 
     // Phase 3: moves, in the order sigma_r | S_{2,r}.
-    std::unordered_set<ProcId> move_members(rec.g_move.begin(),
-                                            rec.g_move.end());
-    if (options.verify_claims) {
-      // Claim A.3: S_{2,r} ⊆ G_{2,r}, so restricting sigma_r is well
-      // defined.
-      const std::unordered_set<ProcId> all_movers(all_rec.g_move.begin(),
-                                                  all_rec.g_move.end());
-      for (const ProcId p : rec.g_move) {
-        LLSC_CHECK(all_movers.contains(p),
-                   "Claim A.3 violated: S-run mover absent from sigma_r");
-      }
-    }
     for (const ProcId p : rec.g_move) {
       const PendingOp& op = sys.process(p).pending_op();
       rec.move_set.push_back(MoveOp{.proc = p, .src = op.src, .dst = op.reg});
+      moving[static_cast<std::size_t>(p)] = 1;
     }
-    rec.sigma = restrict_schedule(all_rec.sigma, move_members);
-    // Movers not present in sigma_r (possible only when verify_claims is
-    // off and the claim fails) are appended so the run still progresses.
-    for (const ProcId p : rec.g_move) {
-      if (std::find(rec.sigma.begin(), rec.sigma.end(), p) ==
-          rec.sigma.end()) {
+    // Each marked mover once, in sigma_r's order. Movers absent from
+    // sigma_r (possible only when verify_claims is off and the claim
+    // fails) are appended so the run still progresses.
+    const auto place = [&](ProcId p) {
+      char& m = moving[static_cast<std::size_t>(p)];
+      if (m == 1) {
         rec.sigma.push_back(p);
+        m = 0;
       }
-    }
+    };
+    for (const ProcId p : all_rec.sigma) place(p);
+    for (const ProcId p : rec.g_move) place(p);
     for (const ProcId p : rec.sigma) execute(p);
 
     // Phase 4: swaps, id order.
@@ -131,9 +136,7 @@ RunLog run_s_run(System& sys, const RunLog& all_log, const UpTracker& up,
     for (const ProcId p : rec.g_sc) execute(p);
 
     log.rounds.push_back(std::move(rec));
-    if (options.record_snapshots) {
-      log.snapshots.push_back(take_snapshot(sys, hist));
-    }
+    if (snaps) log.snapshots.push_back(snaps->take());
   }
 
   log.all_terminated = sys.all_done();

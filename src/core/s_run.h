@@ -20,6 +20,13 @@
 //
 // The same toss assignment A serves both runs, so the j-th toss of p gets
 // the same outcome in both — the alignment Lemma 5.2 depends on.
+//
+// Cost: UP(p, ·) only grows, so a process that leaves S_r never returns;
+// the driver keeps S_r as a list it only filters, testing "⊆ S" once per
+// pooled UP set (UpCover). Claims A.2/A.3 are answered by one
+// group-of-process array filled from the All-run's round record, and the
+// restriction of sigma_r by one mark per mover, so a round costs
+// O(|S_r| + |G_r|) on top of its simulated steps and its snapshot.
 #ifndef LLSC_CORE_S_RUN_H_
 #define LLSC_CORE_S_RUN_H_
 

@@ -22,11 +22,22 @@
 // unions at most four sets. The tracker records the per-round maximum so
 // the lemma can be checked empirically (and its failure demonstrated when
 // the secretive move schedule is ablated).
+//
+// Storage: a set changes in few (X, r) pairs — a rule that adds nothing
+// leaves UP(X, r) = UP(X, r-1), and the register rules mostly install a
+// process's set as is. So the tracker keeps one pool of distinct ProcSets
+// and, per round, a flat array of pool ids: one per process and one per
+// register slot (a dense index over every register a rule ever wrote). A
+// rule that adds nothing reuses the previous id, and a union equal to one
+// of its operands reuses that operand's id; only a genuinely new set is
+// added to the pool. UpCover memoizes "⊆ S" per pooled id, so the
+// (S,A)-run and the Lemma 5.2 check test each distinct set once.
 #ifndef LLSC_CORE_UP_TRACKER_H_
 #define LLSC_CORE_UP_TRACKER_H_
 
 #include <cstdint>
-#include <map>
+#include <deque>
+#include <unordered_map>
 #include <vector>
 
 #include "core/proc_set.h"
@@ -36,6 +47,9 @@ namespace llsc {
 
 class UpTracker {
  public:
+  // Id of a pooled set. Equal ids mean equal sets (not conversely).
+  using SetId = std::uint32_t;
+
   explicit UpTracker(int n);
 
   // Incorporate one more round (records must be fed in round order).
@@ -44,12 +58,23 @@ class UpTracker {
   // Convenience: track a whole run log.
   static UpTracker over(const RunLog& log);
 
-  int num_rounds() const { return static_cast<int>(proc_up_.size()) - 1; }
+  int num_rounds() const { return static_cast<int>(proc_ids_.size()) - 1; }
 
-  // UP(p, r): 0 <= r <= num_rounds().
-  const ProcSet& up_process(ProcId p, int r) const;
+  // UP(p, r): 0 <= r <= num_rounds(). The reference stays valid for the
+  // tracker's lifetime.
+  const ProcSet& up_process(ProcId p, int r) const {
+    return set(process_set(p, r));
+  }
   // UP(R, r); registers never written have the empty set.
-  const ProcSet& up_register(RegId reg, int r) const;
+  const ProcSet& up_register(RegId reg, int r) const {
+    return set(register_set(reg, r));
+  }
+
+  // The pool ids behind up_process / up_register.
+  SetId process_set(ProcId p, int r) const;
+  SetId register_set(RegId reg, int r) const;
+  const ProcSet& set(SetId id) const { return pool_[id]; }
+  std::size_t num_sets() const { return pool_.size(); }
 
   // max over all processes and registers of |UP(X, r)|.
   std::size_t max_up_size(int r) const;
@@ -59,13 +84,56 @@ class UpTracker {
   bool lemma51_holds() const;
 
  private:
-  const ProcSet& reg_at(const std::map<RegId, ProcSet>& regs, RegId r) const;
+  static constexpr SetId kEmpty = 0;
+
+  SetId add(ProcSet s);
+  // The id of pool_[a] ∪ pool_[b], reusing a or b when the union equals it.
+  SetId unite(SetId a, SetId b);
+  // The id `ids` (one round's register array) holds for reg.
+  SetId reg_id(const std::vector<SetId>& ids, RegId reg) const;
 
   int n_;
-  ProcSet empty_;
-  // proc_up_[r][p] = UP(p, r); reg_up_[r] maps touched registers only.
-  std::vector<std::vector<ProcSet>> proc_up_;
-  std::vector<std::map<RegId, ProcSet>> reg_up_;
+  std::deque<ProcSet> pool_;  // deque: references survive growth
+  std::vector<std::uint32_t> sizes_;  // sizes_[id] = |pool_[id]|
+  // proc_ids_[r][p] = id of UP(p, r); reg_ids_[r][slot] = id of UP(R, r),
+  // with slots past the end of round r's array holding the empty set.
+  std::vector<std::vector<SetId>> proc_ids_;
+  std::vector<std::vector<SetId>> reg_ids_;
+  std::unordered_map<RegId, std::uint32_t> slots_;
+  std::vector<std::size_t> max_sizes_;
+
+  // advance()'s per-slot scratch: what this round's ops did to a register.
+  static constexpr RegId kNoReg = ~RegId{0};
+  struct RegEvents {
+    RegId reg = kNoReg;  // kNoReg: no event this round
+    ProcId successful_sc = -1;
+    ProcId last_swapper = -1;
+    bool moved_into = false;
+    // The swapper whose value the next swapper of this round reads.
+    ProcId prev_swapper = -1;
+    // UP-of-source ∪ UPs-of-movers, once computed.
+    bool has_influx = false;
+    SetId influx = kEmpty;
+  };
+  std::vector<RegEvents> events_;      // indexed by slot
+  std::vector<std::uint32_t> touched_;  // slots with events this round
+};
+
+// "UP(X, r) ⊆ S" for one S, memoized per pooled set: after the first test
+// of a set, every process or register sharing it costs one lookup.
+class UpCover {
+ public:
+  UpCover(const UpTracker& up, const ProcSet& s) : up_(up), s_(s) {}
+
+  bool process(ProcId p, int r) { return covered(up_.process_set(p, r)); }
+  bool reg(RegId reg, int r) { return covered(up_.register_set(reg, r)); }
+
+ private:
+  bool covered(UpTracker::SetId id);
+
+  const UpTracker& up_;
+  const ProcSet& s_;
+  std::vector<signed char> memo_;  // -1 untested, else 0/1
 };
 
 }  // namespace llsc

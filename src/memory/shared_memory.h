@@ -91,6 +91,7 @@ class SharedMemory {
   const std::set<ProcId>& peek_pset(RegId r) const;
   // Registers that have been touched (lazily materialized) so far.
   std::vector<RegId> touched_registers() const;
+  bool is_touched(RegId r) const { return find(r) != nullptr; }
 
   const MemoryOpCounts& counts() const { return counts_; }
   void reset_counts() { counts_ = MemoryOpCounts{}; }

@@ -94,9 +94,8 @@ TEST(Adversary, LoadsObserveEndOfPreviousRound) {
     for (const OpRecord& op : rec.ops) {
       if (op.op.kind != OpKind::kLL) continue;
       const auto& prev_snap = log.at(rec.round - 1);
-      const auto it = prev_snap.regs.find(op.op.reg);
-      const Value expected =
-          it == prev_snap.regs.end() ? Value{} : it->second.value;
+      const RegSnapshot* reg = prev_snap.regs.find(op.op.reg);
+      const Value expected = reg == nullptr ? Value{} : reg->value;
       EXPECT_EQ(op.result.value, expected)
           << "LL in round " << rec.round << " did not read the end-of-"
           << (rec.round - 1) << " value";

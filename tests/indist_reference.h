@@ -4,6 +4,9 @@
 // both Psets — O(|regs| · n · log|Pset|) per round, but obviously faithful
 // to the lemma's wording. The production checker must return an identical
 // IndistReport (same ok, counts, and violation strings in the same order).
+//
+// It is a template over the run-log and tracker types, so it also runs on
+// the pipeline oracle's own logs and tracker (pipeline_reference.h).
 #ifndef LLSC_TESTS_INDIST_REFERENCE_H_
 #define LLSC_TESTS_INDIST_REFERENCE_H_
 
@@ -14,18 +17,24 @@
 #include <vector>
 
 #include "core/indistinguishability.h"
+#include "pipeline_reference.h"
 #include "util/check.h"
 
 namespace llsc {
 namespace indist_reference {
 
-inline const RegSnapshot* find_reg(const RoundSnapshot& snap, RegId r) {
+inline const RegSnapshot* find_reg(const ref::RoundSnapshot& snap, RegId r) {
   const auto it = snap.regs.find(r);
   return it == snap.regs.end() ? nullptr : &it->second;
 }
 
+inline const RegSnapshot* find_reg(const RoundSnapshot& snap, RegId r) {
+  return snap.regs.find(r);
+}
+
 // A register absent from a snapshot is untouched: nil value, empty Pset.
-inline const RegSnapshot& reg_or_default(const RoundSnapshot& snap, RegId r) {
+template <typename Snapshot>
+const RegSnapshot& reg_or_default(const Snapshot& snap, RegId r) {
   static const RegSnapshot kDefault;
   const RegSnapshot* found = find_reg(snap, r);
   return found == nullptr ? kDefault : *found;
@@ -37,9 +46,11 @@ inline bool pset_contains(const RegSnapshot& reg, ProcId p) {
 
 }  // namespace indist_reference
 
-inline IndistReport reference_check_indistinguishability(
-    const RunLog& all_log, const RunLog& s_log, const UpTracker& up,
-    const ProcSet& s) {
+template <typename Log, typename Tracker>
+IndistReport reference_check_indistinguishability(const Log& all_log,
+                                                  const Log& s_log,
+                                                  const Tracker& up,
+                                                  const ProcSet& s) {
   using indist_reference::find_reg;
   using indist_reference::pset_contains;
   using indist_reference::reg_or_default;
@@ -56,8 +67,8 @@ inline IndistReport reference_check_indistinguishability(
   };
 
   for (int r = 0; r <= rounds; ++r) {
-    const RoundSnapshot& all_snap = all_log.at(r);
-    const RoundSnapshot& s_snap = s_log.at(r);
+    const auto& all_snap = all_log.at(r);
+    const auto& s_snap = s_log.at(r);
 
     // --- processes: (All,A)-run ≈_p^r (S,A)-run when UP(p, r) ⊆ S ---
     for (ProcId p = 0; p < n; ++p) {

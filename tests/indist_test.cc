@@ -241,6 +241,14 @@ RoundSnapshot& snapshot_at(RunLog& log, int r) {
   return r == 0 ? log.initial : log.snapshots[static_cast<std::size_t>(r - 1)];
 }
 
+// A snapshot's register entry, which the test expects to exist, for
+// writing.
+RegSnapshot& reg_at(RoundSnapshot& snap, RegId reg) {
+  EXPECT_NE(snap.regs.find(reg), nullptr)
+      << "R" << reg << " missing from the snapshot";
+  return snap.regs.upsert(reg);
+}
+
 IndistReport check_tampered(const Pipeline& pl) {
   return check_against_reference(pl.all_log, pl.s_log, pl.up, pl.s,
                                  "tampered");
@@ -270,7 +278,7 @@ class TamperedLog : public ::testing::Test {
 
 TEST_F(TamperedLog, CoveredPsetMembershipFlipIsReported) {
   const auto [r, reg] = pick_linked_register(pl_);
-  std::vector<ProcId>& pset = snapshot_at(pl_.s_log, r).regs.at(reg).pset;
+  std::vector<ProcId>& pset = reg_at(snapshot_at(pl_.s_log, r), reg).pset;
   const ProcId dropped = pset.front();
   pset.erase(pset.begin());
   // Also add a covered non-member, so both sides of the merge are exercised.
@@ -295,7 +303,7 @@ TEST_F(TamperedLog, CoveredPsetMembershipFlipIsReported) {
 
 TEST_F(TamperedLog, RegisterValueChangeIsReported) {
   const auto [r, reg] = pick_linked_register(pl_);
-  Value& value = snapshot_at(pl_.s_log, r).regs.at(reg).value;
+  Value& value = reg_at(snapshot_at(pl_.s_log, r), reg).value;
   const std::string before = value.to_string();
   value = Value::of_u64(987654321);
 
@@ -309,7 +317,7 @@ TEST_F(TamperedLog, RegisterValueChangeIsReported) {
 
 TEST_F(TamperedLog, DroppedRegisterReadsAsNilWithEmptyPset) {
   const auto [r, reg] = pick_linked_register(pl_);
-  const RegSnapshot all_reg = pl_.all_log.at(r).regs.at(reg);
+  const RegSnapshot all_reg = *pl_.all_log.at(r).regs.find(reg);
   snapshot_at(pl_.s_log, r).regs.erase(reg);
 
   std::vector<std::string> expected{round_tag(r) + "val(R" +
@@ -331,13 +339,14 @@ TEST_F(TamperedLog, SRunOnlyRegisterIsReportedAfterAllRunRegisters) {
   const int r = pl_.s_log.num_rounds();
   RoundSnapshot& snap = snapshot_at(pl_.s_log, r);
   ASSERT_FALSE(snap.regs.empty());
-  const RegId last = snap.regs.rbegin()->first;
+  RegId last = 0;
+  for (const auto& [id, _] : snap.regs) last = id;
   RegId fresh = 0;
-  while (snap.regs.count(fresh) != 0) ++fresh;
+  while (snap.regs.find(fresh) != nullptr) ++fresh;
   ASSERT_LT(fresh, last) << "the (All,A)-run touched a dense register range";
-  const std::string before = snap.regs.at(last).value.to_string();
-  snap.regs.at(last).value = Value::of_u64(987654321);
-  snap.regs[fresh] = RegSnapshot{Value::of_u64(5), {0}};
+  const std::string before = reg_at(snap, last).value.to_string();
+  reg_at(snap, last).value = Value::of_u64(987654321);
+  snap.regs.upsert(fresh) = RegSnapshot{Value::of_u64(5), {0}};
 
   const std::string fresh_tag = "val(R" + std::to_string(fresh) + ")";
   const IndistReport report = check_tampered(pl_);
@@ -387,9 +396,9 @@ TEST(TamperedLogUncovered, PsetFlipOfUncoveredProcessIsNotReported) {
   const ProcId outsider = 2;
   bool flipped = false;
   for (int r = 1; r <= pl.s_log.num_rounds() && !flipped; ++r) {
-    for (auto& [reg, snap] : snapshot_at(pl.s_log, r).regs) {
+    for (const auto& [reg, _] : pl.s_log.at(r).regs) {
       if (!pl.up.up_register(reg, r).subset_of(pl.s)) continue;
-      auto& pset = snap.pset;
+      auto& pset = reg_at(snapshot_at(pl.s_log, r), reg).pset;
       const auto at = std::lower_bound(pset.begin(), pset.end(), outsider);
       if (at != pset.end() && *at == outsider) {
         pset.erase(at);

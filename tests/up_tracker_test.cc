@@ -155,5 +155,51 @@ TEST(UpTracker, UpSetsGrowMonotonically) {
   }
 }
 
+// A rule that adds nothing keeps the pooled set, so the pool holds far
+// fewer sets than there are (process, round) pairs.
+TEST(UpTracker, UnchangedSetsKeepTheirPoolId) {
+  const int n = 64;
+  System sys(n, tournament_wakeup());
+  const RunLog log = run_adversary(sys);
+  const UpTracker t = UpTracker::over(log);
+  std::size_t unchanged = 0;
+  for (int r = 1; r <= t.num_rounds(); ++r) {
+    for (ProcId p = 0; p < n; ++p) {
+      if (t.up_process(p, r) != t.up_process(p, r - 1)) continue;
+      ++unchanged;
+      EXPECT_EQ(t.process_set(p, r), t.process_set(p, r - 1))
+          << "p" << p << " round " << r;
+    }
+  }
+  EXPECT_GT(unchanged, 0u);
+  const std::size_t pairs =
+      static_cast<std::size_t>(n) * static_cast<std::size_t>(t.num_rounds());
+  EXPECT_LT(t.num_sets(), pairs / 2);
+}
+
+TEST(UpCover, AgreesWithSubsetTestForEveryProcessAndRegister) {
+  const int n = 16;
+  System sys(n, swap_mix_wakeup());
+  const RunLog log = run_adversary(sys);
+  const UpTracker t = UpTracker::over(log);
+  for (const ProcSet& s : {ProcSet::of(n, {1, 4, 6, 9}), ProcSet::full(n),
+                           ProcSet(n)}) {
+    UpCover cover(t, s);
+    for (int r = 0; r <= t.num_rounds(); ++r) {
+      for (ProcId p = 0; p < n; ++p) {
+        EXPECT_EQ(cover.process(p, r), t.up_process(p, r).subset_of(s))
+            << "p" << p << " round " << r;
+      }
+      for (const RoundRecord& rec : log.rounds) {
+        for (const OpRecord& op : rec.ops) {
+          EXPECT_EQ(cover.reg(op.op.reg, r),
+                    t.up_register(op.op.reg, r).subset_of(s))
+              << "R" << op.op.reg << " round " << r;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace llsc

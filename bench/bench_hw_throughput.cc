@@ -13,10 +13,10 @@
 // interleavings, not speedup — see EXPERIMENTS.md E10 for the recorded
 // caveat). shared_ops_per_uc_op grows ~log2(n) for Group-Update and ~n for
 // the single-register construction on BOTH platforms.
-// E11 rides along below: BM_HwBackoff_* compares the fixed, adaptive, and
-// adaptive+parking backoff policies (hw/backoff.h) on a raw single-register
-// rmw hammer across thread counts, including an oversubscribed point
-// (threads = 2 × cores) where the parking tier earns its keep.
+// E11 rides along below: BM_HwBackoff_* compares the fixed and adaptive
+// backoff policies (hw/backoff.h) on a raw single-register rmw hammer
+// across thread counts, including an oversubscribed point
+// (threads = 2 × cores) where spinning burns the writers' timeslices.
 // E14: BM_E14_* compares the register-storage policies
 // (memory/storage_policy.h) — boxed versioned nodes vs inline 64-bit
 // tagged words — on the same single-register retry loop and on the
@@ -193,8 +193,6 @@ void run_backoff(benchmark::State& state, BackoffPolicy policy) {
   state.counters["cas_failure_rate"] = r.stats.failure_rate();
   state.counters["spin_pauses"] = static_cast<double>(r.stats.spin_pauses);
   state.counters["yields"] = static_cast<double>(r.stats.yields);
-  state.counters["parks"] = static_cast<double>(r.stats.parks);
-  state.counters["wakes"] = static_cast<double>(r.stats.wakes);
 }
 
 void BM_HwBackoff_Fixed(benchmark::State& state) {
@@ -202,9 +200,6 @@ void BM_HwBackoff_Fixed(benchmark::State& state) {
 }
 void BM_HwBackoff_Adaptive(benchmark::State& state) {
   run_backoff(state, BackoffPolicy::kAdaptive);
-}
-void BM_HwBackoff_AdaptivePark(benchmark::State& state) {
-  run_backoff(state, BackoffPolicy::kAdaptiveParking);
 }
 
 // Low contention (1), moderate (2), saturation (cores), and an
@@ -235,9 +230,7 @@ void backoff_sweep(benchmark::internal::Benchmark* b) {
 //     on HwExecutor with HwRunOptions::storage set, i.e. the policy seam
 //     exercised through the full executor stack rather than raw HwMemory.
 //
-// policy_id follows the StoragePolicy enum: 0 = boxed, 1 = inline,
-// 2 = inline-strict (strict differs from inline only on overflow, which
-// these workloads never hit — its column bounds the cost of the check).
+// policy_id follows the StoragePolicy enum: 0 = boxed, 1 = inline.
 
 struct StorageHammerResult {
   double ops_per_second = 0.0;
@@ -312,9 +305,6 @@ void BM_E14_StorageHammer_Boxed(benchmark::State& state) {
 }
 void BM_E14_StorageHammer_Inline(benchmark::State& state) {
   run_storage_hammer(state, StoragePolicy::kInline);
-}
-void BM_E14_StorageHammer_InlineStrict(benchmark::State& state) {
-  run_storage_hammer(state, StoragePolicy::kInlineStrict);
 }
 
 void run_storage_wakeup(benchmark::State& state, StoragePolicy policy) {
@@ -526,19 +516,11 @@ BENCHMARK(llsc::BM_HwBackoff_Adaptive)
     ->Apply(llsc::backoff_sweep)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
-BENCHMARK(llsc::BM_HwBackoff_AdaptivePark)
-    ->Apply(llsc::backoff_sweep)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 BENCHMARK(llsc::BM_E14_StorageHammer_Boxed)
     ->Apply(llsc::e14_hammer_sweep)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 BENCHMARK(llsc::BM_E14_StorageHammer_Inline)
-    ->Apply(llsc::e14_hammer_sweep)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-BENCHMARK(llsc::BM_E14_StorageHammer_InlineStrict)
     ->Apply(llsc::e14_hammer_sweep)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();

@@ -19,17 +19,15 @@ const char* to_string(BackoffPolicy policy) {
       return "fixed";
     case BackoffPolicy::kAdaptive:
       return "adaptive";
-    case BackoffPolicy::kAdaptiveParking:
-      return "adaptive_park";
   }
   return "unknown";
 }
 
 namespace {
 
-// Upper bound on one park. Parking is a latency/CPU-burn optimization —
-// the retry loops stay lock-free — so a missed wake (the documented
-// ParkSpot race) only ever costs this much before the thread re-checks.
+// Upper bound on one park. Parking is a latency/CPU-burn optimization,
+// so a missed wake (the documented ParkSpot race) only ever costs this
+// much before the thread re-checks.
 constexpr long kParkTimeoutNs = 1'000'000;  // 1 ms
 
 #if defined(__linux__)

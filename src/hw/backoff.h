@@ -1,6 +1,7 @@
-// Backoff policies for contended CAS retry loops (HwMemory::install/rmw).
+// Backoff policies for contended CAS retry loops (HwMemory::install/rmw)
+// and for the oversubscribed executor's idle carriers.
 //
-// Three tiers, selectable per HwMemory/HwExecutor at construction:
+// Two policies, selectable per HwMemory/HwExecutor at construction:
 //
 //   kFixed            the classic Synch-framework shape: the spin window
 //                     starts at min_spins on every operation and doubles
@@ -14,18 +15,18 @@
 //                     sustained contention the window stays wide without
 //                     re-learning it every operation; when contention
 //                     drains, successive successes walk it back down.
-//   kAdaptiveParking  kAdaptive plus a third tier: once the window has
-//                     been saturated at max_spins for park_threshold
-//                     consecutive failures, the thread parks on the
-//                     register's ParkSpot futex word instead of burning a
-//                     timeslice — essential when worker threads outnumber
-//                     cores. Successful writers wake parked threads; a
-//                     bounded park timeout means progress never depends on
-//                     the wakeup arriving (see Waiter).
+//
+// Under either policy a caller that passes a ParkSpot to on_failure gets a
+// third tier: once the window has been saturated at max_spins for more
+// than kParkThreshold consecutive failures, the thread parks on the
+// spot's futex word instead of burning a timeslice. Only the
+// oversubscribed executor's idle carriers pass one (its run queue's
+// idle spot); register retry loops never park. A bounded park timeout
+// means progress never depends on the wakeup arriving (see Waiter).
 //
 // The policy object is per-thread (no shared state); the park/wake
-// rendezvous goes through a per-register ParkSpot and a Waiter, which
-// tests stub out to drive the park path deterministically.
+// rendezvous goes through a ParkSpot and a Waiter, which tests stub out
+// to drive the park path deterministically.
 #ifndef LLSC_HW_BACKOFF_H_
 #define LLSC_HW_BACKOFF_H_
 
@@ -39,7 +40,6 @@ namespace llsc {
 enum class BackoffPolicy : int {
   kFixed = 0,
   kAdaptive = 1,
-  kAdaptiveParking = 2,
 };
 
 const char* to_string(BackoffPolicy policy);
@@ -63,16 +63,16 @@ class Waiter {
   static Waiter& system();
 };
 
-// Per-register park rendezvous. Writers install their value, then bump
-// `seq` and wake — but only when `waiters` is non-zero; parkers register
-// in `waiters`, re-snapshot `seq`, RE-CHECK the register word they failed
-// against, and only then wait. The re-check closes the lost-wakeup
-// window: a writer that installed before the parker's `waiters` increment
+// Park rendezvous. Writers change the watched word, then bump `seq` and
+// wake — but only when `waiters` is non-zero; parkers register in
+// `waiters`, re-snapshot `seq`, RE-CHECK the word they failed against,
+// and only then wait. The re-check closes the lost-wakeup window: a
+// writer that changed the word before the parker's `waiters` increment
 // may legitimately skip the seq bump (it saw waiters == 0), but that same
-// install is what the parker's re-check observes, so the parker returns
-// to its retry loop instead of sleeping out the Waiter timeout. A writer
-// that installs after the increment observes waiters != 0 (both sides use
-// seq_cst) and issues the wake.
+// change is what the parker's re-check observes, so the parker returns
+// to its loop instead of sleeping out the Waiter timeout. A writer that
+// changes the word after the increment observes waiters != 0 (both sides
+// use seq_cst) and issues the wake.
 struct ParkSpot {
   std::atomic<std::uint32_t> seq{0};
   std::atomic<std::uint32_t> waiters{0};
@@ -87,9 +87,6 @@ struct BackoffOptions {
   std::uint32_t yield_threshold = 256;
   // Adaptive: how much a successful CAS narrows the window.
   std::uint32_t decrease_step = 32;
-  // Parking: consecutive failures at a saturated (== max_spins) window
-  // before the thread parks instead of yielding.
-  std::uint32_t park_threshold = 4;
   // nullptr selects Waiter::system(); tests inject a stub.
   Waiter* waiter = nullptr;
 };
@@ -102,7 +99,7 @@ struct BackoffStats {
   std::uint64_t spin_pauses = 0;  // backoff waits served by spinning
   std::uint64_t yields = 0;       // ... by yielding the timeslice
   std::uint64_t parks = 0;        // ... by parking on a ParkSpot
-  // Parks cut short by the pre-wait register re-check: the word changed
+  // Parks cut short by the pre-wait word re-check: the word changed
   // between the CAS failure and the park, so the thread skipped the wait
   // entirely instead of riding out the Waiter timeout.
   std::uint64_t park_skips = 0;
@@ -118,26 +115,31 @@ struct BackoffStats {
 
 class Backoff {
  public:
+  // Consecutive failures at a saturated (== max_spins) window before a
+  // caller with a ParkSpot parks instead of yielding — the executor's
+  // idle carriers, the only caller that passes one.
+  static constexpr std::uint32_t kParkThreshold = 2;
+
   explicit Backoff(const BackoffOptions& options = {});
 
   // Called once at the top of each retry loop. kFixed re-arms the window
-  // at min_spins; the adaptive policies carry it across operations and
-  // only reset the saturation streak.
+  // at min_spins; kAdaptive carries it across operations and only resets
+  // the saturation streak.
   void begin_op();
 
   // Called after a failed CAS: wait once (spin, yield, or park on `spot`
   // depending on tier and window), then widen the window — multiplicative
   // increase clamped to max_spins. `spot` may be null (no parking tier
-  // available at this call site). When parking, `word` is the atomic the
-  // caller's CAS failed against and `observed` the value it saw: after
-  // registering in `waiters` the parker re-reads `word` and skips the
-  // wait if it moved (see ParkSpot). A null `word` skips the re-check and
-  // leans on the Waiter timeout alone.
+  // at this call site — every register retry loop). When parking, `word`
+  // is the atomic the caller failed against and `observed` the value it
+  // saw: after registering in `waiters` the parker re-reads `word` and
+  // skips the wait if it moved (see ParkSpot). A null `word` skips the
+  // re-check and leans on the Waiter timeout alone.
   void on_failure(ParkSpot* spot = nullptr,
                   const std::atomic<std::uint64_t>* word = nullptr,
                   std::uint64_t observed = 0);
 
-  // Called after the retry loop's CAS lands: adaptive policies narrow the
+  // Called after the retry loop's CAS lands: kAdaptive narrows the
   // window (additive decrease clamped to min_spins).
   void on_success();
 
@@ -164,7 +166,7 @@ class Backoff {
   Waiter* waiter_;
   std::uint32_t window_;
   // Consecutive on_failure calls with the window already at max_spins;
-  // crossing park_threshold engages the parking tier.
+  // crossing kParkThreshold engages the parking tier.
   std::uint32_t saturated_streak_ = 0;
   BackoffStats stats_;
 };
@@ -195,8 +197,7 @@ inline void Backoff::on_failure(ParkSpot* spot,
   ++stats_.cas_failures;
   const bool saturated = window_ >= options_.max_spins;
   saturated_streak_ = saturated ? saturated_streak_ + 1 : 0;
-  if (options_.policy == BackoffPolicy::kAdaptiveParking && spot != nullptr &&
-      saturated_streak_ > options_.park_threshold) {
+  if (spot != nullptr && saturated_streak_ > kParkThreshold) {
     ++stats_.parks;
     park(*spot, word, observed);
   } else if (window_ >= options_.yield_threshold) {

@@ -8,6 +8,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 
 namespace llsc {
@@ -649,18 +650,15 @@ bool FaultArtifact::from_json(const std::string& text, FaultArtifact* out,
       if (error != nullptr) *error = "'storage_policy' is not a string";
       return false;
     }
-    if (storage->string_value == "inline") {
-      artifact.storage = StoragePolicy::kInline;
-    } else if (storage->string_value == "inline-strict") {
-      artifact.storage = StoragePolicy::kInlineStrict;
-    } else if (storage->string_value == "boxed") {
-      artifact.storage = StoragePolicy::kBoxed;
-    } else {
+    const std::optional<StoragePolicy> policy =
+        parse_storage_policy(storage->string_value);
+    if (!policy) {
       if (error != nullptr) {
         *error = "unknown storage_policy '" + storage->string_value + "'";
       }
       return false;
     }
+    artifact.storage = *policy;
     if (root.find("overflow_events") != nullptr &&
         !get_u64(root, "overflow_events", &artifact.overflow_events, error)) {
       return false;

@@ -12,11 +12,10 @@
 //       Node{value, version}; every successful write installs a fresh node
 //       with version + 1 and replaced nodes go through three-epoch
 //       reclamation. Values are unbounded, exactly the paper's model.
-//   kInline / kInlineStrict — the word *is* the value while it fits
-//       (16-bit version tag + 47-bit payload), Section 7's bounded-register
-//       regime: writes are a single CAS with no allocation. Overflow
-//       demotes that register to boxing (kInline) or throws
-//       RegisterOverflowError (kInlineStrict).
+//   kInline — the word *is* the value while it fits (16-bit version tag
+//       + 47-bit payload), Section 7's bounded-register regime: writes are
+//       a single CAS with no allocation. Overflow demotes that register to
+//       boxing; RegisterWidthStats::overflow_events counts each such write.
 //
 //   LL(p, r)   : load the word; record the link it asserts; return the
 //                value.

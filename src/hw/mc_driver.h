@@ -45,7 +45,7 @@ struct McRunOptions {
   AdversaryOptions adversary;
   // Register-storage policy threaded to every sample's run_mc_sample —
   // the serial estimator's trailing parameter, so parity holds under
-  // kInline/kInlineStrict exactly as it does under kBoxed.
+  // kInline exactly as it does under kBoxed.
   StoragePolicy storage = default_storage_policy();
   // Node-reclamation policy threaded the same way (the simulator only
   // does accounting — memory/reclaim_policy.h — but carrying the id keeps

@@ -39,26 +39,26 @@ using hw_internal::Watchdog;
 // coroutine gives its carrier thread back. With a carrier for every
 // process (N = M) no runnable process ever waits for a thread, so the
 // policy is never consulted; explicit ctx.yield() / ctx.yield_until() are
-// honoured either way. ops_since_yield_ and wake_ns_ are indexed by
-// ProcId and only ever touched from the carrier thread currently running
-// that process (a process's steps are serialized by the run queue), so
-// plain integers suffice.
-class OversubPlatform final : public Platform {
+// honoured either way. wake_ns_ is indexed by ProcId and only ever
+// touched from the carrier thread currently running that process (a
+// process's steps are serialized by the run queue), so plain integers
+// suffice. Every carrier reads the platform on every op, so it gets cache
+// lines of its own: sharing one with SchedState's atomics (written on
+// every push) cost the saturated service run ~15% per request.
+class alignas(kCacheLineBytes) OversubPlatform final : public Platform {
  public:
   OversubPlatform(HwMemory* memory,
                   std::shared_ptr<const TossAssignment> tosses,
                   FaultInjector* injector, RunMonitor* monitor,
-                  std::uint32_t stall_unit_ns, YieldPolicy policy,
-                  std::uint32_t every_k, int m, int num_threads)
+                  std::uint32_t stall_unit_ns, YieldPolicy policy, int m,
+                  int num_threads)
       : memory_(memory),
         tosses_(std::move(tosses)),
         injector_(injector),
         monitor_(monitor),
         stall_unit_ns_(stall_unit_ns),
         policy_(policy),
-        every_k_(std::max<std::uint32_t>(1, every_k)),
         carrier_waits_(num_threads < m),
-        ops_since_yield_(static_cast<std::size_t>(m), 0),
         wake_ns_(static_cast<std::size_t>(m), 0) {}
 
   bool synchronous() const override { return true; }
@@ -99,20 +99,11 @@ class OversubPlatform final : public Platform {
 
   std::string name() const override { return "hw"; }
 
-  bool yield_after_op(ProcId p, const PendingOp& op,
-                      const OpResult& result) override {
+  bool yield_after_op(const PendingOp& op, const OpResult& result) override {
     if (!carrier_waits_) return false;
     switch (policy_) {
       case YieldPolicy::kEveryOp:
         return true;
-      case YieldPolicy::kEveryK: {
-        std::uint32_t& c = ops_since_yield_[static_cast<std::size_t>(p)];
-        if (++c >= every_k_) {
-          c = 0;
-          return true;
-        }
-        return false;
-      }
       case YieldPolicy::kOnScFailure:
         return op.kind == OpKind::kSC && !result.flag;
     }
@@ -163,9 +154,7 @@ class OversubPlatform final : public Platform {
   RunMonitor* monitor_;
   std::uint32_t stall_unit_ns_;
   YieldPolicy policy_;
-  std::uint32_t every_k_;
   bool carrier_waits_;  // N < M: some runnable process lacks a carrier
-  std::vector<std::uint32_t> ops_since_yield_;
   std::vector<std::uint64_t> wake_ns_;
 };
 
@@ -187,13 +176,13 @@ struct alignas(64) Shard {
   std::vector<Sleeper> sleepers;  // min-heap on wake_ns
 };
 
-// Pool-wide scheduler state. The idle protocol mirrors the register
-// ParkSpot protocol: every push bumps work_epoch and wakes registered
+// Pool-wide scheduler state. The idle protocol is the ParkSpot protocol
+// (hw/backoff.h): every push bumps work_epoch and wakes registered
 // waiters; an idle worker snapshots the epoch BEFORE its scan and hands
 // the (word, snapshot) pair to Backoff::on_failure, whose post-register
-// re-check closes the push-after-scan/park-before-wake window exactly
-// like the register-side lost-wakeup fix.
-struct SchedState {
+// re-check closes the push-after-scan/park-before-wake window. Aligned
+// for the same reason as OversubPlatform.
+struct alignas(kCacheLineBytes) SchedState {
   SchedState(int num_threads, Waiter* waiter)
       : shards(static_cast<std::size_t>(num_threads)), waiter(waiter) {}
 
@@ -294,8 +283,6 @@ const char* to_string(YieldPolicy policy) {
   switch (policy) {
     case YieldPolicy::kEveryOp:
       return "every-op";
-    case YieldPolicy::kEveryK:
-      return "every-k";
     case YieldPolicy::kOnScFailure:
       return "on-sc-failure";
   }
@@ -342,8 +329,8 @@ HwRunResult OversubscribedExecutor::run(int m, const ProcBody& body) {
   RunMonitor monitor(m);
   OversubPlatform platform(
       &memory, tosses, injector ? &*injector : nullptr, &monitor,
-      inject ? options_.fault->stall_unit_ns : 0, options_.yield_policy,
-      options_.yield_every_k, m, num_threads);
+      inject ? options_.fault->stall_unit_ns : 0, options_.yield_policy, m,
+      num_threads);
 
   std::vector<std::unique_ptr<Process>> procs;
   procs.reserve(static_cast<std::size_t>(m));
@@ -370,12 +357,11 @@ HwRunResult OversubscribedExecutor::run(int m, const ProcBody& body) {
         procs[static_cast<std::size_t>(i)].get());
   }
 
-  // Idle-worker backoff: always the parking tier (that is the point of a
-  // pool), whatever the memory-side policy is; the waiter is shared so
-  // tests can stub both sides at once.
+  // Idle-worker backoff: adaptive, and parking on the idle spot (that is
+  // the point of a pool), whatever the memory-side policy is; the waiter
+  // comes from the run's options so tests can stub it.
   BackoffOptions idle_options;
-  idle_options.policy = BackoffPolicy::kAdaptiveParking;
-  idle_options.park_threshold = 2;
+  idle_options.policy = BackoffPolicy::kAdaptive;
   idle_options.waiter = waiter;
 
   std::mutex stats_mutex;

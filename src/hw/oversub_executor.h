@@ -14,11 +14,11 @@
 // carrier of its own, no runnable process waits for one, and the policy
 // is not consulted: bodies run on their carriers until they finish or
 // take an explicit ctx.yield() / ctx.yield_until(). Workers pop their
-// own shard FIFO, steal from siblings when dry, and fall back to the
-// adaptive+parking Backoff (hw/backoff.h) on the executor's idle
-// ParkSpot when the whole pool runs dry — the same fixed
-// register-in-waiters → re-check protocol the register spots use, with
-// the work-epoch counter as the re-checked word.
+// own shard FIFO, steal from siblings when dry, and fall back to an
+// adaptive Backoff (hw/backoff.h) parking on the executor's idle
+// ParkSpot when the whole pool runs dry — the register-in-waiters →
+// re-check protocol, with the work-epoch counter as the re-checked word.
+// This idle spot is the only place anything parks.
 //
 // Timed sleep: ctx.yield_until(t) takes the process off the FIFO into its
 // shard's deadline heap (a min-heap of wake time, under the shard mutex).
@@ -65,13 +65,10 @@ enum class YieldPolicy : int {
   // round-robins runnable processes at op granularity. The default, and
   // what service-mode latency runs want.
   kEveryOp = 0,
-  // After every k-th shared-memory op of a process: amortizes scheduling
-  // cost when ops are cheap and fairness at op granularity is overkill.
-  kEveryK = 1,
   // Only after a FAILED SC: a process losing its register races is the
   // one burning its timeslice; winners keep their thread. The polite-
   // loser discipline of flat combining, at the scheduler level.
-  kOnScFailure = 2,
+  kOnScFailure = 1,
 };
 
 const char* to_string(YieldPolicy policy);
@@ -80,8 +77,6 @@ struct OversubRunOptions : HwRunOptions {
   // Carrier threads (N). 0 = std::thread::hardware_concurrency().
   int num_threads = 0;
   YieldPolicy yield_policy = YieldPolicy::kEveryOp;
-  // kEveryK's k; clamped to >= 1.
-  std::uint32_t yield_every_k = 8;
 };
 
 class OversubscribedExecutor {

@@ -64,7 +64,7 @@ class Platform {
   // --- cooperative-scheduling hooks (hw/oversub_executor.h) ---
   //
   // Only meaningful on synchronous platforms that run processes on a pool
-  // of carrier threads. After apply() ran p's op inline, yield_after_op
+  // of carrier threads. After apply() ran an op inline, yield_after_op
   // asks whether the coroutine should give up its carrier thread (the
   // op's result is already latched; the scheduler resumes the coroutine
   // later and the awaitable reads it then). yield_now is the same question
@@ -73,9 +73,7 @@ class Platform {
   // for a plain yield). Both default to false: the simulator never
   // suspends here, so algorithm code with yield points runs unchanged
   // everywhere.
-  virtual bool yield_after_op(ProcId p, const PendingOp& op,
-                              const OpResult& result) {
-    (void)p;
+  virtual bool yield_after_op(const PendingOp& op, const OpResult& result) {
     (void)op;
     (void)result;
     return false;

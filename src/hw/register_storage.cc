@@ -12,8 +12,6 @@ RegisterStorage::RegisterStorage(std::size_t num_registers, int num_threads,
                                  ReclaimPolicy reclaim, int reclaim_slots)
     : regs_(num_registers),
       backoff_options_(backoff),
-      waiter_(backoff.waiter != nullptr ? backoff.waiter
-                                        : &Waiter::system()),
       reclaimer_(make_reclaimer(
           reclaim, reclaim_slots > 0 ? reclaim_slots : num_threads)) {
   // A Node* must leave bit 0 clear for the inline-word discriminator.
@@ -74,14 +72,6 @@ RegisterStorage::Node* RegisterStorage::make_node(ThreadCtx& c, Value v,
   return new Node{std::move(v), version};
 }
 
-void RegisterStorage::wake_waiters(ThreadCtx& c, RegId r) {
-  ParkSpot& spot = regs_[static_cast<std::size_t>(r)].park;
-  if (spot.waiters.load(std::memory_order_seq_cst) == 0) return;
-  spot.seq.fetch_add(1, std::memory_order_seq_cst);
-  waiter_->wake_all(spot.seq);
-  ++c.wakes;
-}
-
 void RegisterStorage::note_install(ThreadCtx& c, const Value& v,
                                    bool inline_install) {
   note_install_bits(c, v.encoded_bits(), inline_install);
@@ -122,9 +112,6 @@ HwBackoffStats RegisterStorage::backoff_stats() const {
     s.cas_successes += b.cas_successes;
     s.spin_pauses += b.spin_pauses;
     s.yields += b.yields;
-    s.parks += b.parks;
-    s.park_skips += b.park_skips;
-    s.wakes += c->wakes;
   }
   return s;
 }
@@ -189,9 +176,6 @@ OpResult BoxedStorage::sc(ProcId p, RegId r, Value v) {
                                 std::memory_order_acquire)) {
     Value prev = cur->value;
     g.retire(cur);
-    // A successful SC changes the head, so installers parked on r can
-    // make progress again.
-    wake_waiters(c, r);
     note_install_bits(c, fresh_bits, /*inline_install=*/false);
     return OpResult{.flag = true, .value = std::move(prev)};
   }
@@ -219,7 +203,6 @@ Value BoxedStorage::install(Reclaimer::Guard& g, ThreadCtx& c, RegId r,
   Node* fresh = make_node(c, std::move(v), 0);
   const std::size_t fresh_bits = fresh->value.encoded_bits();
   std::uint64_t curw = g.acquire(h);
-  ParkSpot& spot = regs_[static_cast<std::size_t>(r)].park;
   c.backoff.begin_op();
   for (;;) {
     fresh->version = as_node(curw)->version + 1;
@@ -228,11 +211,10 @@ Value BoxedStorage::install(Reclaimer::Guard& g, ThreadCtx& c, RegId r,
                                 std::memory_order_acquire)) {
       break;
     }
-    c.backoff.on_failure(&spot, &h, curw);
+    c.backoff.on_failure();
     curw = g.confirm(h, curw);
   }
   c.backoff.on_success();
-  wake_waiters(c, r);
   Node* cur = as_node(curw);
   Value prev = cur->value;
   g.retire(cur);
@@ -264,7 +246,6 @@ Value BoxedStorage::rmw(ProcId p, RegId r, const RmwFunction& f) {
   ThreadCtx& c = ctx(p);
   Reclaimer::Guard g(*reclaimer_, p);
   std::atomic<std::uint64_t>& h = word(r);
-  ParkSpot& spot = regs_[static_cast<std::size_t>(r)].park;
   c.backoff.begin_op();
   for (;;) {
     std::uint64_t curw = g.acquire(h);
@@ -275,7 +256,6 @@ Value BoxedStorage::rmw(ProcId p, RegId r, const RmwFunction& f) {
                                   std::memory_order_acq_rel,
                                   std::memory_order_acquire)) {
       c.backoff.on_success();
-      wake_waiters(c, r);
       Value prev = cur->value;
       g.retire(cur);
       note_install_bits(c, fresh_bits, /*inline_install=*/false);
@@ -284,7 +264,7 @@ Value BoxedStorage::rmw(ProcId p, RegId r, const RmwFunction& f) {
     }
     delete fresh;
     --c.allocated;
-    c.backoff.on_failure(&spot, &h, curw);
+    c.backoff.on_failure();
   }
 }
 
@@ -299,23 +279,16 @@ std::uint64_t BoxedStorage::peek_version(RegId r) const {
 // --- InlineStorage -------------------------------------------------------
 
 InlineStorage::InlineStorage(std::size_t num_registers, int num_threads,
-                             const BackoffOptions& backoff, bool strict,
+                             const BackoffOptions& backoff,
                              ReclaimPolicy reclaim, int reclaim_slots)
     : RegisterStorage(num_registers, num_threads, backoff, reclaim,
-                      reclaim_slots),
-      strict_(strict) {
+                      reclaim_slots) {
   // Registers start as inline (nil, tag 1) — no allocation at all until a
   // value overflows the word.
   const std::uint64_t nil_word = encode_inline(Value{}, 1);
   for (auto& r : regs_) {
     r.word.store(nil_word, std::memory_order_relaxed);
   }
-}
-
-void InlineStorage::throw_overflow(RegId r, const Value& v) const {
-  throw RegisterOverflowError(
-      "register " + std::to_string(r) + ": value " + v.to_string() +
-      " does not fit in a 64-bit inline register word (strict policy)");
 }
 
 Value InlineStorage::ll(ProcId p, RegId r) {
@@ -344,14 +317,12 @@ OpResult InlineStorage::sc(ProcId p, RegId r, Value v) {
     if (h.compare_exchange_strong(cur, fresh, std::memory_order_acq_rel,
                                   std::memory_order_acquire)) {
       Value prev = decode_inline(cur);
-      wake_waiters(c, r);
       note_install(c, v, /*inline_install=*/true);
       return OpResult{.flag = true, .value = std::move(prev)};
     }
     cur = g.confirm(h, cur);
     return OpResult{.flag = false, .value = value_of(cur)};
   }
-  if (!fits && strict_) throw_overflow(r, v);
   // Demote the register (first even-version node) or replace the node of
   // an already-demoted one.
   Node* fresh = make_node(
@@ -367,7 +338,6 @@ OpResult InlineStorage::sc(ProcId p, RegId r, Value v) {
     } else {
       prev = decode_inline(cur);
     }
-    wake_waiters(c, r);
     if (!fits) ++c.overflow_events;
     note_install_bits(c, fresh_bits, /*inline_install=*/false);
     return OpResult{.flag = true, .value = std::move(prev)};
@@ -390,9 +360,7 @@ OpResult InlineStorage::validate(ProcId p, RegId r) {
 Value InlineStorage::install(Reclaimer::Guard& g, ThreadCtx& c, RegId r,
                              const Value& v) {
   const bool fits = value_fits_inline(v);
-  if (!fits && strict_) throw_overflow(r, v);
   std::atomic<std::uint64_t>& h = word(r);
-  ParkSpot& spot = regs_[static_cast<std::size_t>(r)].park;
   Node* fresh = nullptr;  // allocated lazily, only for the node path
   std::uint64_t cur = g.acquire(h);
   c.backoff.begin_op();
@@ -424,7 +392,7 @@ Value InlineStorage::install(Reclaimer::Guard& g, ThreadCtx& c, RegId r,
         break;
       }
     }
-    c.backoff.on_failure(&spot, &h, cur);
+    c.backoff.on_failure();
     cur = g.confirm(h, cur);
   }
   if (fresh != nullptr) {  // defensive: allocated but won another path
@@ -432,7 +400,6 @@ Value InlineStorage::install(Reclaimer::Guard& g, ThreadCtx& c, RegId r,
     --c.allocated;
   }
   c.backoff.on_success();
-  wake_waiters(c, r);
   if (!fits) ++c.overflow_events;
   note_install(c, v, inline_install);
   return prev;
@@ -459,7 +426,6 @@ Value InlineStorage::rmw(ProcId p, RegId r, const RmwFunction& f) {
   ThreadCtx& c = ctx(p);
   Reclaimer::Guard g(*reclaimer_, p);
   std::atomic<std::uint64_t>& h = word(r);
-  ParkSpot& spot = regs_[static_cast<std::size_t>(r)].park;
   c.backoff.begin_op();
   std::uint64_t cur = g.acquire(h);
   for (;;) {
@@ -472,16 +438,14 @@ Value InlineStorage::rmw(ProcId p, RegId r, const RmwFunction& f) {
       if (h.compare_exchange_strong(cur, nw, std::memory_order_acq_rel,
                                     std::memory_order_acquire)) {
         c.backoff.on_success();
-        wake_waiters(c, r);
         note_install(c, next, /*inline_install=*/true);
         c.link[static_cast<std::size_t>(r)] = 0;
         return curv;
       }
-      c.backoff.on_failure(&spot, &h, cur);
+      c.backoff.on_failure();
       cur = g.confirm(h, cur);
       continue;
     }
-    if (!fits && strict_) throw_overflow(r, next);
     Node* fresh = make_node(
         c, std::move(next),
         is_node_word(cur) ? as_node(cur)->version + 2 : 2);
@@ -490,7 +454,6 @@ Value InlineStorage::rmw(ProcId p, RegId r, const RmwFunction& f) {
                                   std::memory_order_acq_rel,
                                   std::memory_order_acquire)) {
       c.backoff.on_success();
-      wake_waiters(c, r);
       if (is_node_word(cur)) g.retire(as_node(cur));
       if (!fits) ++c.overflow_events;
       note_install_bits(c, fresh_bits, /*inline_install=*/false);
@@ -499,7 +462,7 @@ Value InlineStorage::rmw(ProcId p, RegId r, const RmwFunction& f) {
     }
     delete fresh;
     --c.allocated;
-    c.backoff.on_failure(&spot, &h, cur);
+    c.backoff.on_failure();
     cur = g.confirm(h, cur);
   }
 }
@@ -540,12 +503,7 @@ std::unique_ptr<RegisterStorage> make_register_storage(
                                             backoff, reclaim, reclaim_slots);
     case StoragePolicy::kInline:
       return std::make_unique<InlineStorage>(num_registers, num_threads,
-                                             backoff, /*strict=*/false,
-                                             reclaim, reclaim_slots);
-    case StoragePolicy::kInlineStrict:
-      return std::make_unique<InlineStorage>(num_registers, num_threads,
-                                             backoff, /*strict=*/true,
-                                             reclaim, reclaim_slots);
+                                             backoff, reclaim, reclaim_slots);
   }
   LLSC_UNREACHABLE("bad StoragePolicy");
 }

@@ -17,10 +17,8 @@
 //                   value: a 64-bit tagged word (memory/storage_policy.h
 //                   codec — 16-bit version tag, 47-bit payload, bit 0 set)
 //                   and a write is one CAS with no allocation and no
-//                   reclamation. The first write that does not fit either
-//                   demotes that one register to boxing permanently
-//                   (kInline) or throws RegisterOverflowError
-//                   (kInlineStrict).
+//                   reclamation. The first write that does not fit
+//                   demotes that one register to boxing permanently.
 //
 // Link discipline across the two node/inline representations: a process's
 // link for a register is the 64-bit word it would have to still observe —
@@ -67,18 +65,15 @@ inline constexpr std::size_t kCacheLineBytes = 64;
 // memory/reclaim_policy.h when the Reclaimer seam was extracted.
 using HwReclaimStats = ReclaimStats;
 
-// Backoff counters aggregated over threads (read when quiescent), plus
-// the wake side of the parking tier, which is charged to the writer
-// thread that issued the wake.
+// Retry-loop backoff counters aggregated over threads (read when
+// quiescent). Register retry loops never park, so every failure is
+// served by a spin or a yield.
 struct HwBackoffStats {
   BackoffPolicy policy = BackoffPolicy::kFixed;
   std::uint64_t cas_failures = 0;
   std::uint64_t cas_successes = 0;
   std::uint64_t spin_pauses = 0;
   std::uint64_t yields = 0;
-  std::uint64_t parks = 0;
-  std::uint64_t park_skips = 0;  // parks cut short by the word re-check
-  std::uint64_t wakes = 0;
 
   double failure_rate() const {
     const std::uint64_t attempts = cas_failures + cas_successes;
@@ -163,9 +158,6 @@ class RegisterStorage {
     // InlineStorage, a tagged inline word (bit 0 set). Derived
     // constructors initialize it; 0 only before that.
     std::atomic<std::uint64_t> word{0};
-    // Park rendezvous for the adaptive+parking backoff tier; shares the
-    // word's (already-padded) line, which the waking writer just owned.
-    ParkSpot park;
   };
 
   struct alignas(kCacheLineBytes) ThreadCtx {
@@ -176,7 +168,6 @@ class RegisterStorage {
     std::uint64_t allocated = 0;
     // Retry-loop backoff state and counters (owner-thread private).
     Backoff backoff;
-    std::uint64_t wakes = 0;
     // Width accounting (owner-thread private; see RegisterWidthStats).
     std::uint64_t writes_inspected = 0;
     std::size_t max_bits = 0;
@@ -189,9 +180,6 @@ class RegisterStorage {
   std::atomic<std::uint64_t>& word(RegId r);
   const std::atomic<std::uint64_t>& word(RegId r) const;
   Node* make_node(ThreadCtx& c, Value v, std::uint64_t version);
-  // Wake threads parked on r's ParkSpot after a successful write (no-op
-  // unless someone is registered as a waiter).
-  void wake_waiters(ThreadCtx& c, RegId r);
   // Width accounting at a *completed* install (SC success, swap, move,
   // rmw) — never per CAS retry, so simulator and hw totals agree.
   void note_install(ThreadCtx& c, const Value& v, bool inline_install);
@@ -206,7 +194,6 @@ class RegisterStorage {
   std::vector<std::unique_ptr<ThreadCtx>> ctxs_;
   BackoffOptions backoff_options_;
   std::vector<RegisterGroup> groups_;
-  Waiter* waiter_;
   std::unique_ptr<Reclaimer> reclaimer_;
 };
 
@@ -238,18 +225,15 @@ class BoxedStorage : public RegisterStorage {
 };
 
 // The bounded-register regime: one 64-bit tagged word per register while
-// its values fit, per-register demotion to boxing (or a thrown
-// RegisterOverflowError under kInlineStrict) when one does not.
+// its values fit, per-register demotion to boxing when one does not.
 class InlineStorage final : public RegisterStorage {
  public:
   InlineStorage(std::size_t num_registers, int num_threads,
-                const BackoffOptions& backoff, bool strict,
+                const BackoffOptions& backoff,
                 ReclaimPolicy reclaim = default_reclaim_policy(),
                 int reclaim_slots = 0);
 
-  StoragePolicy policy() const override {
-    return strict_ ? StoragePolicy::kInlineStrict : StoragePolicy::kInline;
-  }
+  StoragePolicy policy() const override { return StoragePolicy::kInline; }
 
   Value ll(ProcId p, RegId r) override;
   OpResult sc(ProcId p, RegId r, Value v) override;
@@ -271,12 +255,9 @@ class InlineStorage final : public RegisterStorage {
   Value value_of(std::uint64_t w) const {
     return is_node_word(w) ? as_node(w)->value : decode_inline(w);
   }
-  [[noreturn]] void throw_overflow(RegId r, const Value& v) const;
   // Unconditional install (swap/move tail): inline CAS when the register
   // is inline and `v` fits, demotion or node replacement otherwise.
   Value install(Reclaimer::Guard& g, ThreadCtx& c, RegId r, const Value& v);
-
-  const bool strict_;
 };
 
 std::unique_ptr<RegisterStorage> make_register_storage(

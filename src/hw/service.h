@@ -53,7 +53,6 @@ struct ServiceOptions {
   ServiceWorkload workload = ServiceWorkload::kFetchInc;
   std::uint64_t seed = 1;
   YieldPolicy yield_policy = YieldPolicy::kEveryOp;
-  std::uint32_t yield_every_k = 8;
   BackoffOptions backoff;
   StoragePolicy storage = default_storage_policy();
   std::optional<std::uint64_t> timeout_ms;

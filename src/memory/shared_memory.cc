@@ -32,9 +32,6 @@ OpResult SharedMemory::sc(ProcId p, RegId r, Value v) {
   ++counts_[OpKind::kSC];
   Register& R = reg(r);
   if (R.pset.contains(p)) {
-    // The overflow check comes after the link check, matching the hw
-    // backend: a failed SC never faults, whatever its argument.
-    check_overflow(r, v);
     note_write(r, v);
     Value prev = R.value;
     R.value = std::move(v);
@@ -56,7 +53,6 @@ OpResult SharedMemory::validate(ProcId p, RegId r) const {
 Value SharedMemory::swap(ProcId p, RegId r, Value v) {
   (void)p;  // swap's effect does not depend on the invoker
   ++counts_[OpKind::kSwap];
-  check_overflow(r, v);
   note_write(r, v);
   Register& R = reg(r);
   Value prev = R.value;
@@ -72,7 +68,6 @@ void SharedMemory::move(ProcId p, RegId src, RegId dst) {
   // rehash the map and invalidate references.
   Value v = src == dst ? reg(src).value : (find(src) ? find(src)->value
                                                      : Value{});
-  check_overflow(dst, v);
   note_write(dst, v);
   Register& D = reg(dst);
   D.value = std::move(v);
@@ -84,7 +79,6 @@ Value SharedMemory::rmw(ProcId p, RegId r, const RmwFunction& f) {
   ++counts_[OpKind::kRmw];
   Register& R = reg(r);
   Value next = f.apply(R.value);
-  check_overflow(r, next);
   note_write(r, next);
   Value prev = std::move(R.value);
   R.value = std::move(next);
@@ -177,7 +171,6 @@ void SharedMemory::note_write(RegId r, const Value& v) {
   const bool was_demoted = demoted_.contains(r);
   const bool fits = value_fits_inline(v);
   if (!fits) {
-    // Only reachable under kInline — check_overflow threw for strict.
     ++width_.overflow_events;
     demoted_.insert(r);
   }
@@ -190,14 +183,6 @@ void SharedMemory::note_write(RegId r, const Value& v) {
     // demoting install replaces an inline word — nothing to retire.
     ++reclaim_.nodes_allocated;
     if (was_demoted) ++reclaim_.nodes_retired;
-  }
-}
-
-void SharedMemory::check_overflow(RegId r, const Value& v) const {
-  if (storage_ == StoragePolicy::kInlineStrict && !value_fits_inline(v)) {
-    throw RegisterOverflowError(
-        "register " + std::to_string(r) + ": value " + v.to_string() +
-        " does not fit in a 64-bit inline register word (strict policy)");
   }
 }
 

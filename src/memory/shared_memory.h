@@ -99,10 +99,8 @@ class SharedMemory {
   // Register-storage policy (memory/storage_policy.h). The simulator always
   // stores full Values — the policy changes only the *accounting* (width /
   // overflow / per-register demotion counters, mirroring the hw backend's
-  // RegisterStorage bit for bit on deterministic workloads) and, under
-  // kInlineStrict, makes an unencodable completed write throw
-  // RegisterOverflowError before mutating anything. Set it before running;
-  // it defaults to LLSC_STORAGE_POLICY like the hw side.
+  // RegisterStorage bit for bit on deterministic workloads). Set it before
+  // running; it defaults to LLSC_STORAGE_POLICY like the hw side.
   void set_storage_policy(StoragePolicy policy) { storage_ = policy; }
   StoragePolicy storage_policy() const { return storage_; }
   RegisterWidthStats width_stats() const;
@@ -139,9 +137,6 @@ class SharedMemory {
   // rmw) — the same points the hw backend counts at, so the totals agree
   // across substrates for deterministic workloads.
   void note_write(RegId r, const Value& v);
-  // Throws RegisterOverflowError under kInlineStrict for unencodable `v`;
-  // called before the mutation, after the operation is known to complete.
-  void check_overflow(RegId r, const Value& v) const;
 
   std::unordered_map<RegId, Register> regs_;
   MemoryOpCounts counts_;

@@ -6,27 +6,39 @@
 
 namespace llsc {
 
+namespace {
+
+// The one spelling of each policy name, for printing and parsing alike.
+struct PolicyName {
+  StoragePolicy policy;
+  const char* name;
+};
+constexpr PolicyName kPolicyNames[] = {
+    {StoragePolicy::kBoxed, "boxed"},
+    {StoragePolicy::kInline, "inline"},
+};
+
+}  // namespace
+
 std::string to_string(StoragePolicy policy) {
-  switch (policy) {
-    case StoragePolicy::kBoxed:
-      return "boxed";
-    case StoragePolicy::kInline:
-      return "inline";
-    case StoragePolicy::kInlineStrict:
-      return "inline-strict";
+  for (const PolicyName& e : kPolicyNames) {
+    if (e.policy == policy) return e.name;
   }
   LLSC_UNREACHABLE("bad StoragePolicy");
 }
 
-StoragePolicy storage_policy_from_string(const std::string& name) {
-  if (name == "boxed") return StoragePolicy::kBoxed;
-  if (name == "inline") return StoragePolicy::kInline;
-  if (name == "inline-strict" || name == "inline_strict") {
-    return StoragePolicy::kInlineStrict;
+std::optional<StoragePolicy> parse_storage_policy(const std::string& name) {
+  for (const PolicyName& e : kPolicyNames) {
+    if (name == e.name) return e.policy;
   }
-  LLSC_CHECK(false, "unknown storage policy (want boxed | inline | "
-                    "inline-strict): " + name);
-  return StoragePolicy::kBoxed;
+  return std::nullopt;
+}
+
+StoragePolicy storage_policy_from_string(const std::string& name) {
+  const std::optional<StoragePolicy> policy = parse_storage_policy(name);
+  LLSC_CHECK(policy.has_value(),
+             "unknown storage policy (want boxed | inline): " + name);
+  return *policy;
 }
 
 StoragePolicy default_storage_policy() {

@@ -14,9 +14,8 @@
 //                   Value (today's behavior, byte-for-byte preserved).
 //   kInline       — a register is one 64-bit atomic word while its values
 //                   fit; the first unencodable write demotes that register
-//                   (and only it) to boxing, permanently.
-//   kInlineStrict — as kInline, but an unencodable write faults the run
-//                   with RegisterOverflowError instead of falling back.
+//                   (and only it) to boxing, permanently. Every such write
+//                   counts in RegisterWidthStats::overflow_events.
 //
 // Inline word layout (bit 0 is the discriminator; Node pointers are
 // 8-byte aligned so bit 0 = 0 always means "pointer"):
@@ -35,7 +34,7 @@
 
 #include <cstdint>
 #include <map>
-#include <stdexcept>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,26 +46,21 @@ namespace llsc {
 enum class StoragePolicy : int {
   kBoxed = 0,
   kInline = 1,
-  kInlineStrict = 2,
 };
 
 std::string to_string(StoragePolicy policy);
+// The policy named `name` ("boxed" | "inline"), or nullopt — for outside
+// input such as artifacts, which must report an unknown name as an error.
+std::optional<StoragePolicy> parse_storage_policy(const std::string& name);
+// As parse_storage_policy, but an unknown name is a fatal usage error.
 StoragePolicy storage_policy_from_string(const std::string& name);
 
 // Process-wide default, read once from the LLSC_STORAGE_POLICY environment
-// variable ("boxed" | "inline" | "inline-strict"); kBoxed when unset. This
+// variable ("boxed" | "inline"); kBoxed when unset. This
 // is how the CI inline matrix leg flips every test and bench to another
 // policy without touching call sites; anything that cares pins its policy
 // explicitly.
 StoragePolicy default_storage_policy();
-
-// Thrown by kInlineStrict when a completed write's value cannot be encoded
-// in the 64-bit register word.
-class RegisterOverflowError : public std::runtime_error {
- public:
-  explicit RegisterOverflowError(const std::string& what)
-      : std::runtime_error(what) {}
-};
 
 // --- the inline 64-bit word codec ---------------------------------------
 

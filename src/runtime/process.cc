@@ -53,7 +53,7 @@ bool Process::submit_op(PendingOp op, std::coroutine_handle<> frame) {
     // await_resume reads the result when the scheduler resumes it.
     op_result_ = platform_->apply(id_, op);
     ++shared_ops_;
-    if (platform_->yield_after_op(id_, op, op_result_)) {
+    if (platform_->yield_after_op(op, op_result_)) {
       kind_ = StepKind::kYielded;
       resume_handle_ = frame;
       return true;

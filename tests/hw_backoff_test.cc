@@ -1,7 +1,7 @@
 // Backoff policies: exact window sequences for fixed and adaptive
 // policies (including the non-power-of-two-cap clamp regression), the
-// park/unpark tier driven through a stubbed Waiter, and counter
-// accounting.
+// park/unpark tier the executor's idle carriers use, driven through a
+// stubbed Waiter, and counter accounting.
 #include "hw/backoff.h"
 
 #include <gtest/gtest.h>
@@ -106,15 +106,14 @@ TEST(HwBackoffTest, AdaptiveMultiplicativeIncreaseAdditiveDecrease) {
 
 TEST(HwBackoffTest, ParkingEngagesOnlyAfterSaturatedStreak) {
   StubWaiter waiter;
-  BackoffOptions o = spin_only(BackoffPolicy::kAdaptiveParking, 4, 16);
-  o.park_threshold = 3;
+  BackoffOptions o = spin_only(BackoffPolicy::kAdaptive, 4, 16);
   o.waiter = &waiter;
   Backoff b(o);
   ParkSpot spot;
   b.begin_op();
   // Window reaches the 16 cap after 2 failures; the saturation streak
-  // then has to exceed park_threshold before the first park.
-  for (int i = 0; i < 6; ++i) b.on_failure(&spot);
+  // then has to exceed kParkThreshold (2) before the first park.
+  for (int i = 0; i < 5; ++i) b.on_failure(&spot);
   EXPECT_EQ(waiter.waits, 1);
   EXPECT_EQ(b.stats().parks, 1u);
   EXPECT_EQ(waiter.last_word, &spot.seq);
@@ -129,30 +128,41 @@ TEST(HwBackoffTest, ParkingEngagesOnlyAfterSaturatedStreak) {
   EXPECT_EQ(spot.waiters.load(), 0u);
 }
 
-// The lost-wakeup window (the service-mode latency cliff): the parker
-// fails its CAS seeing `observed`, then a writer installs a new value
-// and — correctly, per the writer protocol — skips the seq bump and wake
-// because `waiters` is still 0, and only then does the parker park. The
-// writer runs on its own thread and completes (join) before the park, so
-// this is exactly the interleaving the old ordering lost: it would call
-// Waiter::wait and sleep out the full timeout. The fixed park re-checks
-// the word after registering in `waiters` and must skip the wait.
+// Drive a Backoff whose window starts saturated (min == max spins) up to
+// the edge of the parking tier: kParkThreshold failures that spin, so the
+// next failure with a spot parks.
+void saturate(Backoff& b, ParkSpot& spot) {
+  b.begin_op();
+  for (std::uint32_t i = 0; i < Backoff::kParkThreshold; ++i) {
+    b.on_failure(&spot);
+  }
+  ASSERT_EQ(b.stats().parks, 0u);
+}
+
+// The lost-wakeup window of the executor's idle loop: the idle carrier
+// scans an empty run queue having seen work-epoch `observed`, then a
+// pusher bumps the epoch and — correctly, per the writer protocol —
+// skips the seq bump and wake because `waiters` is still 0, and only
+// then does the carrier park. The writer runs on its own thread and
+// completes (join) before the park, so this is exactly the interleaving
+// a park without the re-check would lose: it would call Waiter::wait and
+// sleep out the full timeout. The park re-checks the word after
+// registering in `waiters` and must skip the wait.
 TEST(HwBackoffTest, ParkRechecksWordSoAWakelessWriterIsNeverMissed) {
   StubWaiter waiter;  // records waits: a recorded wait IS the lost wakeup
-  BackoffOptions o = spin_only(BackoffPolicy::kAdaptiveParking, 4, 4);
-  o.park_threshold = 0;  // window starts saturated: first failure parks
+  BackoffOptions o = spin_only(BackoffPolicy::kAdaptive, 4, 4);
   o.waiter = &waiter;
   Backoff b(o);
   ParkSpot spot;
   std::atomic<std::uint64_t> word{7};
   const std::uint64_t observed =
-      word.load(std::memory_order_seq_cst);  // the failed CAS's snapshot
-  b.begin_op();
+      word.load(std::memory_order_seq_cst);  // the empty scan's snapshot
+  saturate(b, spot);
   std::thread writer([&] {
-    word.store(8, std::memory_order_seq_cst);  // install a new value
-    // Writer-side wake protocol (RegisterStorage::wake_waiters): no
-    // registered waiters, so no seq bump and no wake — legal, and the
-    // half of the race the parker's re-check exists to cover.
+    word.store(8, std::memory_order_seq_cst);  // push: bump the epoch
+    // Writer-side wake protocol (the executor's push): no registered
+    // waiters, so no seq bump and no wake — legal, and the half of the
+    // race the parker's re-check exists to cover.
     if (spot.waiters.load(std::memory_order_seq_cst) != 0) {
       spot.seq.fetch_add(1, std::memory_order_seq_cst);
       waiter.wake_all(spot.seq);
@@ -170,13 +180,12 @@ TEST(HwBackoffTest, ParkRechecksWordSoAWakelessWriterIsNeverMissed) {
 // parking into a spin loop — the parker registers and waits as before.
 TEST(HwBackoffTest, ParkStillWaitsWhenWordIsUnchanged) {
   StubWaiter waiter;
-  BackoffOptions o = spin_only(BackoffPolicy::kAdaptiveParking, 4, 4);
-  o.park_threshold = 0;
+  BackoffOptions o = spin_only(BackoffPolicy::kAdaptive, 4, 4);
   o.waiter = &waiter;
   Backoff b(o);
   ParkSpot spot;
   std::atomic<std::uint64_t> word{7};
-  b.begin_op();
+  saturate(b, spot);
   b.on_failure(&spot, &word, word.load());
   EXPECT_EQ(waiter.waits, 1);
   EXPECT_EQ(b.stats().parks, 1u);
@@ -184,29 +193,17 @@ TEST(HwBackoffTest, ParkStillWaitsWhenWordIsUnchanged) {
   EXPECT_EQ(spot.waiters.load(), 0u);
 }
 
+// Parking is the caller's choice, not the policy's: without a spot (every
+// register retry loop) neither policy ever parks.
 TEST(HwBackoffTest, ParkingNeverEngagesWithoutASpot) {
   StubWaiter waiter;
-  BackoffOptions o = spin_only(BackoffPolicy::kAdaptiveParking, 4, 8);
-  o.park_threshold = 0;
-  o.waiter = &waiter;
-  Backoff b(o);
-  b.begin_op();
-  for (int i = 0; i < 8; ++i) b.on_failure(nullptr);
-  EXPECT_EQ(waiter.waits, 0);
-  EXPECT_EQ(b.stats().parks, 0u);
-}
-
-TEST(HwBackoffTest, FixedAndAdaptivePoliciesNeverPark) {
-  StubWaiter waiter;
-  ParkSpot spot;
   for (const BackoffPolicy policy :
        {BackoffPolicy::kFixed, BackoffPolicy::kAdaptive}) {
     BackoffOptions o = spin_only(policy, 4, 8);
-    o.park_threshold = 0;
     o.waiter = &waiter;
     Backoff b(o);
     b.begin_op();
-    for (int i = 0; i < 10; ++i) b.on_failure(&spot);
+    for (int i = 0; i < 10; ++i) b.on_failure(nullptr);
     EXPECT_EQ(b.stats().parks, 0u) << to_string(policy);
   }
   EXPECT_EQ(waiter.waits, 0);
@@ -215,18 +212,17 @@ TEST(HwBackoffTest, FixedAndAdaptivePoliciesNeverPark) {
 TEST(HwBackoffTest, StatsCountEveryTierAndFailureRate) {
   StubWaiter waiter;
   BackoffOptions o;
-  o.policy = BackoffPolicy::kAdaptiveParking;
+  o.policy = BackoffPolicy::kAdaptive;
   o.min_spins = 4;
   o.max_spins = 32;
   o.yield_threshold = 16;  // windows 16/32 yield instead of spinning
-  o.park_threshold = 2;
   o.waiter = &waiter;
   Backoff b(o);
   ParkSpot spot;
   b.begin_op();
   // Windows walked: 4, 8 (spin tier), 16 (yield), then saturated at 32 —
   // the first two saturated failures still yield (streak 1, 2 not above
-  // park_threshold = 2), the next two park.
+  // kParkThreshold = 2), the next two park.
   for (int i = 0; i < 7; ++i) b.on_failure(&spot);
   const BackoffStats& s = b.stats();
   EXPECT_EQ(s.cas_failures, 7u);
@@ -251,21 +247,17 @@ TEST(HwBackoffTest, DegenerateOptionsAreClamped) {
   EXPECT_LE(b.window(), 1u);
 }
 
-// End-to-end through HwMemory: a contended rmw loop with the parking
-// policy and a stubbed waiter records parks on the loser and wakes from
-// the winner. Single-threaded here — contention is simulated by the stub
-// never blocking — so the assertion is about the plumbing (options reach
-// the per-thread Backoff, stats aggregate, wake fires when a waiter is
-// registered), not about scheduling.
-TEST(HwBackoffTest, HwMemoryAggregatesStatsAndWakesRegisteredWaiters) {
+// End-to-end through HwMemory: options reach the per-thread Backoff and
+// stats aggregate over threads. Register retry loops never park or wake,
+// so the injected waiter is never touched.
+TEST(HwBackoffTest, HwMemoryAggregatesStatsAndNeverTouchesTheWaiter) {
   StubWaiter waiter;
   BackoffOptions o;
-  o.policy = BackoffPolicy::kAdaptiveParking;
+  o.policy = BackoffPolicy::kAdaptive;
   o.waiter = &waiter;
   HwMemory mem(2, 2, o);
-  EXPECT_EQ(mem.backoff_stats().policy, BackoffPolicy::kAdaptiveParking);
-  // Uncontended installs: successes accumulate, no failures, no wakes
-  // (nobody is registered in any ParkSpot).
+  EXPECT_EQ(mem.backoff_stats().policy, BackoffPolicy::kAdaptive);
+  // Uncontended installs: successes accumulate, no failures.
   for (int i = 0; i < 10; ++i) {
     (void)mem.swap(0, 0, Value::of_u64(static_cast<std::uint64_t>(i)));
   }
@@ -276,8 +268,7 @@ TEST(HwBackoffTest, HwMemoryAggregatesStatsAndWakesRegisteredWaiters) {
   HwBackoffStats s = mem.backoff_stats();
   EXPECT_EQ(s.cas_successes, 11u);
   EXPECT_EQ(s.cas_failures, 0u);
-  EXPECT_EQ(s.parks, 0u);
-  EXPECT_EQ(s.wakes, 0u);
+  EXPECT_EQ(waiter.waits, 0);
   EXPECT_EQ(waiter.wakes, 0);
   EXPECT_DOUBLE_EQ(s.failure_rate(), 0.0);
 }

@@ -508,6 +508,30 @@ TEST(HwFaultTest, MalformedRecoveryJsonNamesTheOffendingField) {
   EXPECT_NE(error.find("amnesia"), std::string::npos) << error;
 }
 
+// The artifact reader parses storage names with the same table as
+// LLSC_STORAGE_POLICY, but an unknown name is an error it returns, never
+// an abort: artifacts are outside input. "inline-strict" names a policy
+// that no longer exists.
+TEST(HwFaultTest, ArtifactStoragePolicyNamesParseWithoutAborting) {
+  FaultArtifact artifact;
+  artifact.scenario = "fixed_ll_sc";
+  artifact.n = 2;
+  artifact.storage = StoragePolicy::kInline;
+  const std::string json = artifact.to_json();
+  const std::string known = "\"storage_policy\": \"inline\"";
+  const std::string::size_type at = json.find(known);
+  ASSERT_NE(at, std::string::npos) << json;
+  FaultArtifact parsed;
+  std::string error;
+  ASSERT_TRUE(FaultArtifact::from_json(json, &parsed, &error)) << error;
+  EXPECT_EQ(parsed.storage, StoragePolicy::kInline);
+
+  std::string strict = json;
+  strict.replace(at, known.size(), "\"storage_policy\": \"inline-strict\"");
+  EXPECT_FALSE(FaultArtifact::from_json(strict, &parsed, &error));
+  EXPECT_EQ(error, "unknown storage_policy 'inline-strict'");
+}
+
 TEST(HwFaultTest, MalformedJsonIsRejectedWithAnError) {
   FaultPlan plan;
   std::string error;

@@ -139,8 +139,7 @@ TEST(HwOversubTest, CounterIsExactUnderEveryYieldPolicy) {
     return counter_body(ctx, inc, ops);
   };
   for (const YieldPolicy policy :
-       {YieldPolicy::kEveryOp, YieldPolicy::kEveryK,
-        YieldPolicy::kOnScFailure}) {
+       {YieldPolicy::kEveryOp, YieldPolicy::kOnScFailure}) {
     OversubscribedExecutor exec(pool(2, 7, policy));
     const HwRunResult run = exec.run(m, body);
     ASSERT_TRUE(run.ok) << to_string(policy);

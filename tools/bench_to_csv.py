@@ -25,9 +25,9 @@ counter.
 malformed input (unparseable JSON, missing/empty "benchmarks", rows
 missing required fields, or non-finite measurements) and 0 with a one-line
 summary when the input is sound. BM_HwBackoff_* rows (the E11 backoff
-policy comparison) must additionally carry n_threads, policy_id,
-oversubscribed, hw_ops_per_sec, cas_failure_rate, and parks counters with
-a known policy_id and a failure rate in [0, 1]. BM_E12_* rows (the
+policy comparison) must additionally carry n_threads, policy_id (0 fixed
+/ 1 adaptive), oversubscribed, hw_ops_per_sec, and cas_failure_rate
+counters with a failure rate in [0, 1]. BM_E12_* rows (the
 fault-injection graceful-degradation sweep) must carry sc_fail_rate in
 [0, 1] plus the non-negative clean / spec_violations / crashed / hung
 taxonomy counts. BM_E13_* rows (the adversarial-placement comparison)
@@ -35,11 +35,11 @@ must carry n_threads, strategy_id (0 oblivious / 1 adaptive / 2 burst),
 fault_budget, injected_sc_failures (<= fault_budget when the budget is
 capped), and retry_amplification >= 1. BM_E14_* rows (the register-
 storage-policy comparison) must carry n_threads, policy_id (0 boxed /
-1 inline / 2 inline-strict), hw_ops_per_sec, and a non-negative
-overflow_events count. BM_E15_* rows (the flat-combining universal-
-construction comparison) must carry n_threads, policy_id, and a
-non-negative uc_ops_per_sec; BM_E15_Combining* rows must additionally
-carry a non-negative batches count; a row with batches >= 1 must also
+1 inline), hw_ops_per_sec, and a non-negative overflow_events count.
+BM_E15_* rows (the flat-combining universal-construction comparison)
+must carry n_threads, policy_id (0 boxed / 1 inline), and a non-negative
+uc_ops_per_sec; BM_E15_Combining* rows must additionally carry a
+non-negative batches count; a row with batches >= 1 must also
 carry mean_batch_size >= 1, while a zero-batch row (every op adopted, or
 crash-stop before the first winner install) must OMIT mean_batch_size —
 reporting a mean over zero batches is the div-by-zero shape this check
@@ -88,15 +88,19 @@ SUFFIX = {"k": 1e3, "M": 1e6, "G": 1e9}
 BASE_FIELDS = ["name", "arg", "threads", "time_ns", "cpu_ns", "iterations"]
 REQUIRED_JSON_FIELDS = ["name", "real_time", "cpu_time", "iterations"]
 
+# Known policy_id values of the E11, E14 and E15 rows: BackoffPolicy
+# (0 fixed, 1 adaptive) for E11, StoragePolicy (0 boxed, 1 inline) for
+# E14 and E15.
+POLICY_IDS = {0.0, 1.0}
+
 # The E11 backoff-policy comparison rows (BM_HwBackoff_* in
 # bench/bench_hw_throughput.cc) must carry the full policy fingerprint,
 # or the fixed-vs-adaptive sweep cannot be reconstructed from the CSV.
 BACKOFF_ROW_PREFIX = "BM_HwBackoff"
 BACKOFF_REQUIRED = [
     "n_threads", "policy_id", "oversubscribed", "hw_ops_per_sec",
-    "cas_failure_rate", "parks",
+    "cas_failure_rate",
 ]
-BACKOFF_POLICY_IDS = {0.0, 1.0, 2.0}  # fixed, adaptive, adaptive_park
 
 # The E12 graceful-degradation rows (BM_E12_* in
 # bench/bench_fault_injection.cc) must carry the injected-failure rate and
@@ -126,7 +130,6 @@ E14_ROW_PREFIX = "BM_E14"
 E14_REQUIRED = [
     "n_threads", "policy_id", "hw_ops_per_sec", "overflow_events",
 ]
-E14_POLICY_IDS = {0.0, 1.0, 2.0}  # boxed, inline, inline-strict
 
 # The E15 flat-combining rows (BM_E15_* in bench/bench_hw_throughput.cc)
 # compare the combining universal construction against the single-register
@@ -139,7 +142,6 @@ E15_ROW_PREFIX = "BM_E15"
 E15_COMBINING_PREFIX = "BM_E15_Combining"
 E15_REQUIRED = ["n_threads", "policy_id", "uc_ops_per_sec"]
 E15_COMBINING_REQUIRED = ["batches"]
-E15_POLICY_IDS = {0.0, 1.0, 2.0}  # boxed, inline, inline-strict
 
 # The E16 service-mode rows (BM_E16_* in bench/bench_service_mode.cc)
 # report the open-loop experiment: M = oversub_factor * N logical
@@ -306,7 +308,7 @@ def validate(rows):
                 raise MalformedInput(
                     f"benchmark {row['name']}/{row['arg']}: backoff "
                     f"comparison row missing field(s): {', '.join(missing)}")
-            if row["policy_id"] not in BACKOFF_POLICY_IDS:
+            if row["policy_id"] not in POLICY_IDS:
                 raise MalformedInput(
                     f"benchmark {row['name']}/{row['arg']}: unknown "
                     f"policy_id {row['policy_id']}")
@@ -358,7 +360,7 @@ def validate(rows):
                 raise MalformedInput(
                     f"benchmark {row['name']}/{row['arg']}: storage-policy "
                     f"row missing field(s): {', '.join(missing)}")
-            if row["policy_id"] not in E14_POLICY_IDS:
+            if row["policy_id"] not in POLICY_IDS:
                 raise MalformedInput(
                     f"benchmark {row['name']}/{row['arg']}: unknown "
                     f"policy_id {row['policy_id']}")
@@ -376,7 +378,7 @@ def validate(rows):
                 raise MalformedInput(
                     f"benchmark {row['name']}/{row['arg']}: combining "
                     f"comparison row missing field(s): {', '.join(missing)}")
-            if row["policy_id"] not in E15_POLICY_IDS:
+            if row["policy_id"] not in POLICY_IDS:
                 raise MalformedInput(
                     f"benchmark {row['name']}/{row['arg']}: unknown "
                     f"policy_id {row['policy_id']}")

@@ -61,6 +61,9 @@ def run_replay_fault(*args):
         capture_output=True, text=True)
 
 
+E11_GOOD = dict(n_threads=8, policy_id=1, oversubscribed=1,
+                hw_ops_per_sec=1e6, cas_failure_rate=0.25)
+
 E13_GOOD = dict(n_threads=4, strategy_id=1, fault_budget=128,
                 injected_sc_failures=128, retry_amplification=1.5)
 
@@ -113,10 +116,23 @@ class BenchToCsvCheckTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 1)
         self.assertIn("missing field", proc.stderr)
 
+    def test_backoff_row_passes(self):
+        # No parks counter: register retry loops never park.
+        row = bench_row("BM_HwBackoff_Adaptive/8", **E11_GOOD)
+        proc = run_bench_to_csv(bench_doc(row), "--check")
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+
     def test_backoff_row_missing_policy_rejected(self):
-        row = bench_row("BM_HwBackoff_Fixed/8", n_threads=8,
-                        oversubscribed=1, hw_ops_per_sec=1e6,
-                        cas_failure_rate=0.25, parks=0)  # no policy_id
+        counters = dict(E11_GOOD)
+        del counters["policy_id"]
+        row = bench_row("BM_HwBackoff_Fixed/8", **counters)
+        proc = run_bench_to_csv(bench_doc(row), "--check")
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("policy_id", proc.stderr)
+
+    def test_backoff_retired_policy_id_rejected(self):
+        # policy_id 2 was adaptive+parking, which no longer exists.
+        row = bench_row("BM_HwBackoff_X/8", **dict(E11_GOOD, policy_id=2))
         proc = run_bench_to_csv(bench_doc(row), "--check")
         self.assertEqual(proc.returncode, 1)
         self.assertIn("policy_id", proc.stderr)
@@ -181,6 +197,13 @@ class BenchToCsvCheckTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 1)
         self.assertIn("policy_id", proc.stderr)
 
+    def test_e14_retired_policy_id_rejected(self):
+        # policy_id 2 was inline-strict, which no longer exists.
+        row = bench_row("BM_E14_X/4", **dict(E14_GOOD, policy_id=2))
+        proc = run_bench_to_csv(bench_doc(row), "--check")
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("policy_id", proc.stderr)
+
     def test_e14_negative_overflow_rejected(self):
         row = bench_row("BM_E14_X/4", **dict(E14_GOOD, overflow_events=-1))
         proc = run_bench_to_csv(bench_doc(row), "--check")
@@ -209,6 +232,13 @@ class BenchToCsvCheckTest(unittest.TestCase):
     def test_e15_unknown_policy_rejected(self):
         row = bench_row("BM_E15_Combining_Inline/8/256",
                         **dict(E15_COMBINING_GOOD, policy_id=9))
+        proc = run_bench_to_csv(bench_doc(row), "--check")
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("policy_id", proc.stderr)
+
+    def test_e15_retired_policy_id_rejected(self):
+        row = bench_row("BM_E15_SingleRegister_Inline/8/256",
+                        **dict(E15_GOOD, policy_id=2))
         proc = run_bench_to_csv(bench_doc(row), "--check")
         self.assertEqual(proc.returncode, 1)
         self.assertIn("policy_id", proc.stderr)
